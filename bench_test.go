@@ -581,8 +581,8 @@ func BenchmarkSyncScan(b *testing.B) {
 	}
 }
 
-// benchSyncStream builds a realistic scan workload: mostly noise (the case
-// the prefilter is tuned for) with four embedded 200-byte frames.
+// benchSyncStream builds a realistic scan workload: mostly noise with four
+// embedded 200-byte frames.
 func benchSyncStream() *frame.ChipBuffer {
 	rng := stats.NewRNG(99)
 	chips := make([]byte, 0, 300000)

@@ -107,21 +107,32 @@ func (w *ChipWords) Word32(off int) uint32 {
 }
 
 // Word64 extracts the 64 chips starting at chip offset off, chip off at bit
-// 63 — the word-parallel sibling of Word32. The sync scan streams the
-// 320-chip preamble/postamble correlation over it 64 chips at a time, so a
-// candidate offset costs a handful of XOR+popcounts instead of a per-chip
-// walk. It panics when the window runs past the stream.
+// 63 — the word-parallel sibling of Word32. The sync scan checks each
+// candidate offset's 320-chip preamble/postamble correlation over it 64
+// chips at a time, so a candidate costs a handful of XOR+popcounts instead
+// of a per-chip walk. It panics when the window runs past the stream.
 func (w *ChipWords) Word64(off int) uint64 {
 	if off < 0 || off+64 > w.n {
-		panic(fmt.Sprintf("bitutil: Word64(%d) out of range for %d chips", off, w.n))
+		panic(rangeError{"Word64", off, w.n})
 	}
-	wi := off / 64
-	sh := uint(off % 64)
+	wi, sh := uint(off)/64, uint(off)%64
 	v := w.words[wi] << sh
 	if sh > 0 {
 		v |= w.words[wi+1] >> (64 - sh)
 	}
 	return v
+}
+
+// rangeError is the panic value of an accessor window outside the stream.
+// Its message is formatted only when printed, which keeps Word64 cheap
+// enough to inline.
+type rangeError struct {
+	op     string
+	off, n int
+}
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("bitutil: %s(%d) out of range for %d chips", e.op, e.off, e.n)
 }
 
 // Words exposes the packed backing words read-only: word i holds chips

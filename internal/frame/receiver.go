@@ -279,7 +279,9 @@ func (r *Receiver) receiveFromPreamble(buf *ChipBuffer, s Sync) (Reception, bool
 
 // receiveFromPostamble implements the rollback path of Sec. 4: parse the
 // trailer that ends at the postamble, learn the packet bounds from it, then
-// roll back through the sample buffer to the start of the payload.
+// roll back through the sample buffer to the start of the payload. A packet
+// an earlier reception already holds whole is dropped after the trailer,
+// before its payload is despread.
 func (r *Receiver) receiveFromPostamble(buf *ChipBuffer, s Sync) (Reception, bool) {
 	trailerStart := s.ChipOffset - HeaderBytes*ChipsPerByte
 	rec := Reception{Kind: SyncPostamble, SyncDist: s.Dist}
@@ -297,6 +299,9 @@ func (r *Receiver) receiveFromPostamble(buf *ChipBuffer, s Sync) (Reception, boo
 	rec.Hdr = hdr
 	crcStart := trailerStart - CRC32Bytes*ChipsPerByte
 	rec.PayloadStartChip = crcStart - int(hdr.Length)*ChipsPerByte
+	if r.alreadyComplete(rec.PayloadStartChip, int(hdr.Length)*SymbolsPerByte) {
+		return rec, false
+	}
 	// The circular buffer holds one maximum packet ending at the postamble's
 	// end; symbols before that horizon are gone.
 	bufferChips := r.BufferChips
@@ -309,6 +314,21 @@ func (r *Receiver) receiveFromPostamble(buf *ChipBuffer, s Sync) (Reception, boo
 	}
 	r.fillPayloadFrom(buf, &rec, trailerBytes[:HeaderFieldBytes], horizon)
 	return rec, true
+}
+
+// alreadyComplete reports whether a reception decoded earlier in this call
+// verified its header at payloadStart and holds at least nSym decisions.
+// A postamble reception of the same packet decodes at most nSym, so dedupe
+// could never prefer it (betterReception needs strictly more decisions, or
+// as many and the preamble kind): the receiver skips its payload despread.
+func (r *Receiver) alreadyComplete(payloadStart, nSym int) bool {
+	for i := range r.scratch.recs {
+		e := &r.scratch.recs[i]
+		if e.HeaderOK && e.PayloadStartChip == payloadStart && len(e.Decisions) >= nSym {
+			return true
+		}
+	}
+	return false
 }
 
 // fillPayload decodes payload, verifies the packet CRC-32, with no rollback

@@ -65,16 +65,25 @@ const DefaultSyncMaxDist = 20
 // patterns are 5 bytes = 320 chips = exactly five 64-chip blocks, and they
 // share their first four blocks (the zero-byte pad, codeword 0 repeated);
 // only the fifth block, the delimiter byte, differs between preamble and
-// postamble. So the scan accumulates the shared pad distance block by
-// block with the seed's early-bailout semantics (once the pad distance
-// alone exceeds the threshold, both patterns are rejected), and only on
-// surviving candidates pays for the two delimiter correlations. The first
-// pad block doubles as the cheap prefilter: against uncorrelated noise its
-// expected distance is 32 chips, so a noise offset is rejected after a
-// single XOR+popcount with probability ~0.998 at the default threshold.
+// postamble. A candidate offset is accepted when its pad distance plus the
+// closer of the two delimiter distances is within the threshold.
+//
+// Stripe sampling. The pad blocks of offset off start at off, off+64,
+// off+128 and off+192, so exactly one of them starts in a stripe
+// [256j, 256j+64): the four starts fall in the four distinct residues of
+// ⌊x/64⌋ mod 4. A block distance within the threshold is necessary for the
+// whole pad to be, so the scan computes the 64-chip pad distance only at
+// stripe positions — a quarter of the offsets — and turns each stripe into
+// a 64-bit candidate mask. A set bit s stands for the four offsets
+// x0+s−64k, k = 0..3; each gets the full pad and delimiter check. The mask
+// is a prefilter, not a classifier: 802.15.4 codewords are 4-chip
+// rotations of codeword 0, so payload runs resemble the pad and about 2%
+// of the offsets of a real collision window pass it.
 const (
 	syncBlocks = SyncChips / 64
 	padBlocks  = syncBlocks - 1
+	// stripeChips is the distance between stripes: one per pad block.
+	stripeChips = padBlocks * 64
 )
 
 // delimWord packs a sync pattern's delimiter byte (two codewords) into the
@@ -109,68 +118,97 @@ func AppendSyncs(dst []Sync, buf *ChipBuffer, maxDist int) []Sync {
 		maxDist = DefaultSyncMaxDist
 	}
 	limit := buf.Len() - SyncChips
+	if limit < 0 {
+		return dst
+	}
 	base := len(dst)
 	words := buf.Words()
-	// Offset sweep, structured as (word, shift) so the two backing words of
-	// the prefilter block load once per 64 offsets and the inner loop is
-	// pure register arithmetic: two shifts, an OR, an XOR, a popcount and a
-	// compare per offset. Go defines w1>>64 as 0, so the sh==0 case needs no
-	// branch.
-	for wi := 0; wi*64 <= limit; wi++ {
-		w0 := words[wi]
-		var w1 uint64
+	// A local copy lets the kernel keep the pad in a register instead of
+	// reloading the package variable at every offset.
+	pad := padWord
+	// A block distance never exceeds 64, so clamping the stripe threshold
+	// there changes no mask bit and keeps the kernel's arithmetic in range.
+	blockMax := min(maxDist, 64)
+	// Every offset in [0, limit] has its stripe block at most 192 chips
+	// past it, so stripes run while x0 <= limit+192.
+	for x0 := 0; x0 <= limit+stripeChips-64; x0 += stripeChips {
+		wi := x0 / 64
+		var lo uint64
 		if wi+1 < len(words) {
-			w1 = words[wi+1]
+			lo = words[wi+1]
 		}
-		shEnd := limit - wi*64
-		if shEnd > 63 {
-			shEnd = 63
+		m := stripeMask(words[wi], lo, pad, blockMax)
+		if m == 0 {
+			continue
 		}
-		for sh := 0; sh <= shEnd; sh++ {
-			// Prefilter: first pad block. Against uncorrelated noise the
-			// expected distance is 32 chips, so a noise offset dies here
-			// with probability ~0.998 at the default threshold.
-			d := bits.OnesCount64((w0<<uint(sh) | w1>>(64-uint(sh))) ^ padWord)
-			if d > maxDist {
-				continue
-			}
-			off := wi*64 + sh
-			// Remaining shared pad blocks with the seed's early-bailout
-			// semantics: once the pad distance alone exceeds the threshold,
-			// both patterns are rejected.
-			d += bits.OnesCount64(buf.Word64(off+64) ^ padWord)
-			if d > maxDist {
-				continue
-			}
-			d += bits.OnesCount64(buf.Word64(off+128) ^ padWord)
-			if d > maxDist {
-				continue
-			}
-			d += bits.OnesCount64(buf.Word64(off+192) ^ padWord)
-			if d > maxDist {
-				continue
-			}
-			// Delimiter block: the only place the two patterns diverge.
-			last := buf.Word64(off + padBlocks*64)
-			dPre := d + bits.OnesCount64(last^preDelimWord)
-			dPost := d + bits.OnesCount64(last^postDelimWord)
-			kind, dist := SyncPreamble, dPre
-			if dPost < dPre {
-				kind, dist = SyncPostamble, dPost
-			}
-			if dist > maxDist {
-				continue
-			}
-			// Collapse candidates within one codeword of the previous
-			// detection.
-			if n := len(dst); n > base && off-dst[n-1].ChipOffset < chipseq.ChipsPerSymbol {
-				if dist < dst[n-1].Dist {
-					dst[n-1] = Sync{Kind: kind, ChipOffset: off, Dist: dist}
+		// Visit the candidates in ascending offset order: k = 3..0 covers
+		// [x0-192, x0+64) one 64-offset run at a time.
+		for k := padBlocks - 1; k >= 0; k-- {
+			for mm := m; mm != 0; mm &= mm - 1 {
+				off := x0 - 64*k + bits.TrailingZeros64(mm)
+				if off < 0 {
+					continue
 				}
-				continue
+				if off > limit {
+					break
+				}
+				kind, dist, ok := syncAt(buf, off, pad, maxDist)
+				if !ok {
+					continue
+				}
+				// Collapse candidates within one codeword of the previous
+				// detection.
+				if n := len(dst); n > base && off-dst[n-1].ChipOffset < chipseq.ChipsPerSymbol {
+					if dist < dst[n-1].Dist {
+						dst[n-1] = Sync{Kind: kind, ChipOffset: off, Dist: dist}
+					}
+					continue
+				}
+				dst = append(dst, Sync{Kind: kind, ChipOffset: off, Dist: dist})
 			}
-			dst = append(dst, Sync{Kind: kind, ChipOffset: off, Dist: dist})
 		}
 	}
 	return dst
+}
+
+// stripeMask is the scan's kernel: bit s of the result is set when the 64
+// chips starting s chips into hi:lo are within maxDist (<= 64) of pad. The
+// window slides by constant one-chip shifts, and each bit enters the mask
+// as the sign of d-maxDist-1, so the loop has no branch and no variable
+// shift; it is unrolled four times.
+func stripeMask(hi, lo, pad uint64, maxDist int) uint64 {
+	lim := maxDist + 1
+	var m uint64
+	for i := 0; i < 16; i++ {
+		m = m>>1 | uint64(bits.OnesCount64(hi^pad)-lim)&(1<<63)
+		hi, lo = hi<<1|lo>>63, lo<<1
+		m = m>>1 | uint64(bits.OnesCount64(hi^pad)-lim)&(1<<63)
+		hi, lo = hi<<1|lo>>63, lo<<1
+		m = m>>1 | uint64(bits.OnesCount64(hi^pad)-lim)&(1<<63)
+		hi, lo = hi<<1|lo>>63, lo<<1
+		m = m>>1 | uint64(bits.OnesCount64(hi^pad)-lim)&(1<<63)
+		hi, lo = hi<<1|lo>>63, lo<<1
+	}
+	return m
+}
+
+// syncAt is the full check of one candidate offset: the four pad blocks,
+// bailing out once the pad distance alone exceeds the threshold, then the
+// delimiter block, where the two patterns diverge (ties go to the
+// preamble).
+func syncAt(buf *ChipBuffer, off int, pad uint64, maxDist int) (SyncKind, int, bool) {
+	d := 0
+	for b := 0; b < padBlocks; b++ {
+		d += bits.OnesCount64(buf.Word64(off+64*b) ^ pad)
+		if d > maxDist {
+			return 0, 0, false
+		}
+	}
+	last := buf.Word64(off + padBlocks*64)
+	dPre := d + bits.OnesCount64(last^preDelimWord)
+	dPost := d + bits.OnesCount64(last^postDelimWord)
+	if dPost < dPre {
+		return SyncPostamble, dPost, dPost <= maxDist
+	}
+	return SyncPreamble, dPre, dPre <= maxDist
 }

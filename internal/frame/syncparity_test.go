@@ -1,6 +1,7 @@
 package frame_test
 
 import (
+	"fmt"
 	"testing"
 
 	"ppr/internal/frame"
@@ -94,6 +95,64 @@ func parityStreams() map[string][]byte {
 	return streams
 }
 
+// stripeStreams places a clean and a 3%-chip-noise frame at every start
+// offset in [0, 320) between random chips, with a noise tail sized so that
+// limit = len-SyncChips ≡ start (mod 256): the scan's 256-chip stripes see
+// the pattern's pad in every phase, k=3 candidates below offset 0 and a
+// last stripe overrunning limit by every amount.
+func stripeStreams() []namedStream {
+	rng := stats.NewRNG(78)
+	noise := func(n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = byte(rng.Intn(2))
+		}
+		return out
+	}
+	clean := frame.New(1, 2, 3, []byte("stripe")).AirChips().Bytes()
+	var out []namedStream
+	for start := 0; start < frame.SyncChips; start++ {
+		for _, rate := range []float64{0, 0.03} {
+			chips := append(noise(start), clean...)
+			for i := start; i < len(chips); i++ {
+				if rng.Bool(rate) {
+					chips[i] ^= 1
+				}
+			}
+			tail := ((start-len(chips)+frame.SyncChips)%256 + 256) % 256
+			chips = append(chips, noise(tail)...)
+			out = append(out, namedStream{fmt.Sprintf("start%d/noise%.2f", start, rate), chips})
+		}
+	}
+	return out
+}
+
+// namedStream is one chip stream of an ordered parity table.
+type namedStream struct {
+	name  string
+	chips []byte
+}
+
+// TestFindSyncsStripeBoundaries checks the stripe-sampled scan against the
+// reference across every stripe phase and every limit residue.
+func TestFindSyncsStripeBoundaries(t *testing.T) {
+	residues := map[int]bool{}
+	for _, s := range stripeStreams() {
+		buf := frame.NewChipBuffer(s.chips)
+		residues[(buf.Len()-frame.SyncChips)%256] = true
+		for _, maxDist := range []int{5, frame.DefaultSyncMaxDist, 64, 80} {
+			got := frame.FindSyncs(buf, maxDist)
+			want := syncref.FindSyncs(buf, maxDist)
+			if !syncsEqual(got, want) {
+				t.Errorf("%s maxDist=%d:\n got %+v\nwant %+v", s.name, maxDist, got, want)
+			}
+		}
+	}
+	if len(residues) != 256 {
+		t.Errorf("streams cover %d limit residues mod 256, want 256", len(residues))
+	}
+}
+
 func TestFindSyncsMatchesSyncref(t *testing.T) {
 	for name, chips := range parityStreams() {
 		buf := frame.NewChipBuffer(chips)
@@ -110,7 +169,7 @@ func TestFindSyncsMatchesSyncref(t *testing.T) {
 // FuzzFindSyncsParity fuzzes the scanner against the frozen reference over
 // arbitrary packed chip content. Each input byte becomes 8 chips.
 func FuzzFindSyncsParity(f *testing.F) {
-	for _, chips := range parityStreams() {
+	pack := func(chips []byte) []byte {
 		packed := make([]byte, 0, len(chips)/8+1)
 		var acc byte
 		for i, c := range chips {
@@ -120,7 +179,13 @@ func FuzzFindSyncsParity(f *testing.F) {
 				acc = 0
 			}
 		}
-		f.Add(packed, frame.DefaultSyncMaxDist)
+		return packed
+	}
+	for _, chips := range parityStreams() {
+		f.Add(pack(chips), frame.DefaultSyncMaxDist)
+	}
+	for _, s := range stripeStreams() {
+		f.Add(pack(s.chips), frame.DefaultSyncMaxDist)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, maxDist int) {
 		if len(data) > 1<<16 {

@@ -1,9 +1,12 @@
 // Package leakcheck is the shared goroutine-leak guard for tests of the
 // long-running machinery (linkserv sessions and servers, netsim's flow
-// coroutines). It snapshots the live goroutines at test start and fails
-// the test if, after a settling deadline, goroutines that did not exist
-// before are still alive — filtered by stack, so runtime and test-harness
-// goroutines never count.
+// coroutines). At test start it tags the test goroutine with a unique
+// runtime/pprof label, which every goroutine the test spawns — directly or
+// through goroutines it spawned — inherits. After a settling deadline it
+// fails the test if goroutines carrying that label are still alive,
+// filtered by stack, so runtime and test-harness goroutines never count.
+// Because only the test's own descendants carry its label, parallel
+// sibling tests never see each other's goroutines.
 //
 // Usage:
 //
@@ -16,11 +19,13 @@
 package leakcheck
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -44,40 +49,49 @@ var ignoredSubstrings = []string{
 	"go.itab",
 }
 
-// goroutine is one parsed entry of a full runtime.Stack dump.
+// labelKey is the pprof label key Take tags goroutines with.
+const labelKey = "leakcheck"
+
+// selfFrame marks the goroutine that is taking the profile: it carries the
+// label but is the checker, not a leak.
+const selfFrame = "ppr/internal/leakcheck.labeled+"
+
+// goroutine is one record of the goroutine profile: count live goroutines
+// sharing one stack and label set.
 type goroutine struct {
-	id    int64
+	count int
 	stack string
 }
 
-// stacks captures and parses every goroutine's stack.
-func stacks() []goroutine {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
+// labeled returns the goroutine-profile records whose label set contains
+// the label pair, skipping the calling goroutine. The debug=1 profile is
+// the one format that prints labels; it groups goroutines with identical
+// stacks.
+func labeled(pair string) []goroutine {
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		panic(fmt.Sprintf("leakcheck: goroutine profile: %v", err))
 	}
+	// Records are blank-line separated; the first is the profile header.
 	var out []goroutine
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		g = strings.TrimSpace(g)
-		if g == "" {
+	for _, rec := range strings.Split(b.String(), "\n\n") {
+		rec = strings.TrimSpace(rec)
+		head, rest, _ := strings.Cut(rec, "\n")
+		// "3 @ 0x... 0x..." then "# labels: {...}" when labels are set.
+		n, _, ok := strings.Cut(head, " @ ")
+		if !ok {
 			continue
 		}
-		header, _, _ := strings.Cut(g, "\n")
-		// "goroutine 123 [running]:"
-		fields := strings.Fields(header)
-		if len(fields) < 2 || fields[0] != "goroutine" {
-			continue
-		}
-		id, err := strconv.ParseInt(fields[1], 10, 64)
+		count, err := strconv.Atoi(n)
 		if err != nil {
 			continue
 		}
-		out = append(out, goroutine{id: id, stack: g})
+		labels, stack, _ := strings.Cut(rest, "\n")
+		if !strings.HasPrefix(labels, "# labels: {") || !strings.Contains(labels, pair) ||
+			strings.Contains(stack, selfFrame) {
+			continue
+		}
+		out = append(out, goroutine{count: count, stack: stack})
 	}
 	return out
 }
@@ -93,30 +107,34 @@ func ignored(g goroutine) bool {
 	return false
 }
 
-// Snapshot records the identities of the currently live goroutines.
+// Snapshot identifies the goroutines spawned since Take by the goroutine
+// that called it.
 type Snapshot struct {
-	ids map[int64]bool
+	// pair is the snapshot's label as the goroutine profile prints it.
+	pair string
 }
 
-// Take captures the current goroutine set.
+// labelSeq makes every Take's label unique.
+var labelSeq atomic.Int64
+
+// Take tags the calling goroutine with a fresh label — replacing any pprof
+// labels it carried — so every goroutine it spawns from now on is
+// attributed to the returned Snapshot.
 func Take() Snapshot {
-	ids := map[int64]bool{}
-	for _, g := range stacks() {
-		ids[g.id] = true
-	}
-	return Snapshot{ids: ids}
+	id := strconv.FormatInt(labelSeq.Add(1), 10)
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(labelKey, id)))
+	return Snapshot{pair: fmt.Sprintf("%q:%q", labelKey, id)}
 }
 
-// Leaked returns the stack-filtered goroutines alive now that were not in
-// the snapshot.
+// Leaked returns the stack-filtered goroutines alive now that carry the
+// snapshot's label, other than the caller.
 func (s Snapshot) Leaked() []goroutine {
 	var out []goroutine
-	for _, g := range stacks() {
-		if !s.ids[g.id] && !ignored(g) {
+	for _, g := range labeled(s.pair) {
+		if !ignored(g) {
 			out = append(out, g)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -139,16 +157,22 @@ func (s Snapshot) Settle(deadline time.Duration) []goroutine {
 // declaring them leaked.
 const DefaultSettle = 5 * time.Second
 
-// Check snapshots now and returns a function that fails the test if new
-// goroutines survive the settling deadline. Use with defer:
+// Check snapshots now and returns a function that fails the test if
+// goroutines spawned since survive the settling deadline. Use with defer:
 //
 //	defer leakcheck.Check(t)()
 func Check(t testing.TB) func() {
 	t.Helper()
+	return checkWithin(t, DefaultSettle)
+}
+
+// checkWithin is Check with an explicit settling deadline.
+func checkWithin(t testing.TB, settle time.Duration) func() {
+	t.Helper()
 	snap := Take()
 	return func() {
 		t.Helper()
-		report(t, snap)
+		report(t, snap, settle)
 	}
 }
 
@@ -158,16 +182,18 @@ func Check(t testing.TB) func() {
 func CheckCleanup(t testing.TB) {
 	t.Helper()
 	snap := Take()
-	t.Cleanup(func() { report(t, snap) })
+	t.Cleanup(func() { report(t, snap, DefaultSettle) })
 }
 
-func report(t testing.TB, snap Snapshot) {
+func report(t testing.TB, snap Snapshot, settle time.Duration) {
 	t.Helper()
-	if leaked := snap.Settle(DefaultSettle); len(leaked) > 0 {
+	if leaked := snap.Settle(settle); len(leaked) > 0 {
 		var b strings.Builder
+		n := 0
 		for _, g := range leaked {
-			fmt.Fprintf(&b, "%s\n\n", g.stack)
+			n += g.count
+			fmt.Fprintf(&b, "%d goroutine(s):\n%s\n\n", g.count, g.stack)
 		}
-		t.Errorf("leaked %d goroutine(s):\n%s", len(leaked), b.String())
+		t.Errorf("leaked %d goroutine(s):\n%s", n, b.String())
 	}
 }

@@ -1,7 +1,9 @@
 package leakcheck
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -29,11 +31,27 @@ func TestLeakDetected(t *testing.T) {
 	go func() { close(started); <-stop }() // deliberately still alive at check time
 	<-started
 	leaked := snap.Settle(50 * time.Millisecond)
-	if len(leaked) != 1 {
-		t.Fatalf("leaked = %d goroutines, want 1", len(leaked))
+	if len(leaked) != 1 || leaked[0].count != 1 {
+		t.Fatalf("leaked = %+v, want one goroutine", leaked)
 	}
 	if !strings.Contains(leaked[0].stack, "leakcheck.TestLeakDetected") {
 		t.Fatalf("leak report missing creator stack:\n%s", leaked[0].stack)
+	}
+}
+
+// TestGrandchildAttributed: a goroutine spawned by a goroutine the test
+// spawned inherits the label, so it is attributed to the test too.
+func TestGrandchildAttributed(t *testing.T) {
+	snap := Take()
+	stop := make(chan struct{})
+	defer close(stop)
+	started := make(chan struct{})
+	go func() {
+		go func() { close(started); <-stop }()
+	}()
+	<-started
+	if leaked := snap.Settle(50 * time.Millisecond); len(leaked) != 1 {
+		t.Fatalf("leaked = %+v, want the grandchild", leaked)
 	}
 }
 
@@ -47,15 +65,96 @@ func TestSettleWaitsForWindDown(t *testing.T) {
 	}
 }
 
-// TestIgnoredFilters: harness goroutines never count as leaks even from an
-// empty snapshot.
+// TestIgnoredFilters: harness goroutines never count as leaks, even when
+// they carry the test's label.
 func TestIgnoredFilters(t *testing.T) {
-	empty := Snapshot{ids: map[int64]bool{}}
-	for _, g := range empty.Leaked() {
+	snap := Take()
+	for _, g := range snap.Leaked() {
 		for _, s := range ignoredSubstrings {
 			if strings.Contains(g.stack, s) {
 				t.Fatalf("ignored goroutine reported:\n%s", g.stack)
 			}
 		}
 	}
+}
+
+// TestPreexistingGoroutinesNotCounted: goroutines alive before Take — the
+// caller's own earlier spawns included — are not the snapshot's.
+func TestPreexistingGoroutinesNotCounted(t *testing.T) {
+	stop := make(chan struct{})
+	defer close(stop)
+	started := make(chan struct{})
+	go func() { close(started); <-stop }()
+	<-started
+	snap := Take()
+	if leaked := snap.Leaked(); len(leaked) > 0 {
+		t.Fatalf("pre-existing goroutine reported as leak: %+v", leaked)
+	}
+}
+
+// recorder is a testing.TB that records Errorf instead of failing, so a
+// test can assert on what Check reports.
+type recorder struct {
+	testing.TB
+	mu     sync.Mutex
+	errors []string
+}
+
+func (r *recorder) Helper() {}
+
+func (r *recorder) Errorf(format string, args ...any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.errors = append(r.errors, fmt.Sprintf(format, args...))
+}
+
+// TestParallelSiblingsIsolated: of two parallel subtests, only the one
+// that leaks fails its check. The clean sibling takes its snapshot before
+// the leaky one spawns and checks while the leaked goroutine is alive, so
+// a process-wide snapshot diff would blame it too. When the subtests
+// cannot run at once (-parallel 1), the handshakes time out and the test
+// still holds, just without the overlap.
+func TestParallelSiblingsIsolated(t *testing.T) {
+	release := make(chan struct{})
+	cleanTook := make(chan struct{})
+	leakySpawned := make(chan struct{})
+	wait := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		case <-time.After(2 * time.Second):
+		}
+	}
+	t.Cleanup(func() { close(release) })
+
+	t.Run("group", func(t *testing.T) {
+		t.Run("clean", func(t *testing.T) {
+			t.Parallel()
+			rec := &recorder{TB: t}
+			check := checkWithin(rec, 200*time.Millisecond)
+			close(cleanTook)
+			wait(leakySpawned)
+			done := make(chan struct{})
+			go func() { close(done) }()
+			<-done
+			check()
+			if len(rec.errors) != 0 {
+				t.Errorf("clean sibling failed its check:\n%s", strings.Join(rec.errors, "\n"))
+			}
+		})
+		t.Run("leaky", func(t *testing.T) {
+			t.Parallel()
+			wait(cleanTook)
+			rec := &recorder{TB: t}
+			check := checkWithin(rec, 200*time.Millisecond)
+			started := make(chan struct{})
+			go func() { close(started); <-release }()
+			<-started
+			close(leakySpawned)
+			check()
+			if len(rec.errors) != 1 || !strings.Contains(rec.errors[0], "leaked 1 goroutine(s)") ||
+				!strings.Contains(rec.errors[0], "TestParallelSiblingsIsolated") {
+				t.Errorf("leaky sibling: got reports %q, want one naming its goroutine", rec.errors)
+			}
+		})
+	})
 }
