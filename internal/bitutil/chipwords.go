@@ -113,7 +113,7 @@ func (w *ChipWords) Word32(off int) uint32 {
 // of a per-chip walk. It panics when the window runs past the stream.
 func (w *ChipWords) Word64(off int) uint64 {
 	if off < 0 || off+64 > w.n {
-		panic(rangeError{"Word64", off, w.n})
+		panic(rangeError{off, w.n})
 	}
 	wi, sh := uint(off)/64, uint(off)%64
 	v := w.words[wi] << sh
@@ -123,16 +123,13 @@ func (w *ChipWords) Word64(off int) uint64 {
 	return v
 }
 
-// rangeError is the panic value of an accessor window outside the stream.
-// Its message is formatted only when printed, which keeps Word64 cheap
-// enough to inline.
-type rangeError struct {
-	op     string
-	off, n int
-}
+// rangeError is Word64's panic value for a window outside the stream. Its
+// message is formatted only when printed, which keeps Word64 cheap enough
+// to inline.
+type rangeError struct{ off, n int }
 
 func (e rangeError) Error() string {
-	return fmt.Sprintf("bitutil: %s(%d) out of range for %d chips", e.op, e.off, e.n)
+	return fmt.Sprintf("bitutil: Word64(%d) out of range for %d chips", e.off, e.n)
 }
 
 // Words exposes the packed backing words read-only: word i holds chips

@@ -132,12 +132,9 @@ func AppendSyncs(dst []Sync, buf *ChipBuffer, maxDist int) []Sync {
 	// Every offset in [0, limit] has its stripe block at most 192 chips
 	// past it, so stripes run while x0 <= limit+192.
 	for x0 := 0; x0 <= limit+stripeChips-64; x0 += stripeChips {
+		// x0 <= Len-128, so both words of the stripe window exist.
 		wi := x0 / 64
-		var lo uint64
-		if wi+1 < len(words) {
-			lo = words[wi+1]
-		}
-		m := stripeMask(words[wi], lo, pad, blockMax)
+		m := stripeMask(words[wi], words[wi+1], pad, blockMax)
 		if m == 0 {
 			continue
 		}

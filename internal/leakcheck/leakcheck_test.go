@@ -66,15 +66,21 @@ func TestSettleWaitsForWindDown(t *testing.T) {
 }
 
 // TestIgnoredFilters: harness goroutines never count as leaks, even when
-// they carry the test's label.
+// they carry the test's label. A parallel subtest started after Take
+// inherits the label and stays parked in (*T).Parallel until this test
+// returns, so it is in the labelled profile when the check runs.
 func TestIgnoredFilters(t *testing.T) {
 	snap := Take()
-	for _, g := range snap.Leaked() {
-		for _, s := range ignoredSubstrings {
-			if strings.Contains(g.stack, s) {
-				t.Fatalf("ignored goroutine reported:\n%s", g.stack)
-			}
-		}
+	t.Run("parked", func(t *testing.T) { t.Parallel() })
+	parked := false
+	for _, g := range labeled(snap.pair) {
+		parked = parked || strings.Contains(g.stack, "testing.(*T).Parallel")
+	}
+	if !parked {
+		t.Fatal("parked parallel subtest missing from the labelled profile")
+	}
+	if leaked := snap.Settle(50 * time.Millisecond); len(leaked) > 0 {
+		t.Fatalf("parked parallel subtest reported as leak: %+v", leaked)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -271,6 +273,90 @@ func TestFaultReorderFlushWithoutSuccessor(t *testing.T) {
 	if len(got) != 1 || got[0].Flow != 0 {
 		t.Fatalf("held frame never flushed: %v", got)
 	}
+}
+
+// holdFlushGoroutines counts live goroutines running a reorder fault's
+// hold-delay flush. time.AfterFunc starts them from the runtime's timer
+// code, so they carry no pprof label and a label-scoped leakcheck never
+// sees them; TestFaultCloseEndsHoldTimer checks them directly.
+func holdFlushGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "(*FaultConn).flushHeldAsync(") {
+			count++
+		}
+	}
+	return count
+}
+
+// waitHoldFlushGoroutines polls until want hold-flush goroutines are alive,
+// reporting false if that does not happen within two seconds.
+func waitHoldFlushGoroutines(want int) bool {
+	end := time.Now().Add(2 * time.Second)
+	for holdFlushGoroutines() != want {
+		if time.Now().After(end) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+// TestFaultCloseEndsHoldTimer: the goroutine a reorder fault's hold timer
+// starts never outlives Close. Closed before the timer fires, Close stops
+// it and delivers the held frame itself; closed while a fired flush is
+// blocked on a peer that is not reading, Close waits for that flush and
+// the goroutine ends once the peer reads.
+func TestFaultCloseEndsHoldTimer(t *testing.T) {
+	frame := testFrames(1)[0]
+	closeAndRead := func(t *testing.T, peer net.Conn, fc *FaultConn) {
+		t.Helper()
+		closed := make(chan error, 1)
+		go func() { closed <- fc.Close() }()
+		peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if f, err := NewDecoder(peer).Next(); err != nil || f.Flow != frame.Flow {
+			t.Fatalf("held frame: got %+v, %v", f, err)
+		}
+		if err := <-closed; err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	t.Run("before-fire", func(t *testing.T) {
+		const hold = 50 * time.Millisecond
+		peer, fc := faultPipe(t, FaultSpec{Reorder: 1, HoldDelay: hold}, 1)
+		if err := NewEncoder(fc).Encode(frame); err != nil {
+			t.Fatal(err)
+		}
+		closeAndRead(t, peer, fc)
+		time.Sleep(3 * hold)
+		if n := holdFlushGoroutines(); n != 0 {
+			t.Fatalf("%d hold-timer goroutine(s) alive after Close", n)
+		}
+	})
+	t.Run("after-fire", func(t *testing.T) {
+		peer, fc := faultPipe(t, FaultSpec{Reorder: 1, HoldDelay: time.Millisecond}, 1)
+		if err := NewEncoder(fc).Encode(frame); err != nil {
+			t.Fatal(err)
+		}
+		// Nobody reads the peer yet, so the fired flush blocks in its
+		// pipe write.
+		if !waitHoldFlushGoroutines(1) {
+			t.Fatal("hold timer never fired")
+		}
+		closeAndRead(t, peer, fc)
+		if !waitHoldFlushGoroutines(0) {
+			t.Fatalf("%d hold-timer goroutine(s) alive after Close", holdFlushGoroutines())
+		}
+	})
 }
 
 func TestFaultHardClose(t *testing.T) {
