@@ -318,8 +318,9 @@ func BenchmarkTraceCache(b *testing.B) {
 
 // BenchmarkSchemePostProcess times one registered scheme's post-processing
 // pass over a shared high-load trace, masks precomputed — the marginal cost
-// of one figure curve, per scheme (the FEC family's trellis work shows up
-// here; its clean-block fast path keeps it proportional to damage).
+// of one figure curve, per scheme. The FEC family's cost here is the
+// per-block zero check (fec.DecodesToZero): clean blocks skip it, damaged
+// ones stop at the step the zero path loses state 0, so it tracks damage.
 func BenchmarkSchemePostProcess(b *testing.B) {
 	o := experiments.Options{Seed: 1, Quick: true}
 	tr := o.Trace(experiments.LoadHigh, false)
@@ -658,6 +659,49 @@ func BenchmarkFECDecode(b *testing.B) {
 			if _, err := sovaref.Decode(coded); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// BenchmarkFECZeroCheck compares the full SOVA decode with the zero check
+// the FEC recovery schemes score blocks with, on one 25-byte block's coded
+// error pattern: clean, three isolated errors (repaired), and 3% noise.
+// TestDecodesToZeroMatchesDecode proves both give the same answer.
+func BenchmarkFECZeroCheck(b *testing.B) {
+	n := fec.EncodedLen(25 * 8)
+	weight3 := make([]byte, n)
+	weight3[10], weight3[150], weight3[300] = 1, 1, 1
+	noisy := make([]byte, n)
+	rng := stats.NewRNG(889)
+	for i := range noisy {
+		if rng.Bool(0.03) {
+			noisy[i] = 1
+		}
+	}
+	cases := []struct {
+		name  string
+		coded []byte
+	}{{"clean", make([]byte, n)}, {"weight3", weight3}, {"noise3", noisy}}
+	b.Run("decode", func(b *testing.B) {
+		for _, c := range cases {
+			b.Run(c.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := fec.Decode(c.coded); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
+	b.Run("zero-check", func(b *testing.B) {
+		for _, c := range cases {
+			b.Run(c.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := fec.DecodesToZero(c.coded); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	})
 }

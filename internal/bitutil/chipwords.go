@@ -95,12 +95,11 @@ func (w *ChipWords) FlipBit(i int) {
 // built on. It panics when the window runs past the stream.
 func (w *ChipWords) Word32(off int) uint32 {
 	if off < 0 || off+32 > w.n {
-		panic(fmt.Sprintf("bitutil: Word32(%d) out of range for %d chips", off, w.n))
+		panic(rangeError{32, off, w.n})
 	}
-	wi := off / 64
-	sh := uint(off % 64)
+	wi, sh := uint(off)/64, uint(off)%64
 	v := w.words[wi] << sh
-	if sh > 0 && wi+1 < len(w.words) {
+	if sh > 32 { // the window spills into the next word
 		v |= w.words[wi+1] >> (64 - sh)
 	}
 	return uint32(v >> 32)
@@ -113,7 +112,7 @@ func (w *ChipWords) Word32(off int) uint32 {
 // of a per-chip walk. It panics when the window runs past the stream.
 func (w *ChipWords) Word64(off int) uint64 {
 	if off < 0 || off+64 > w.n {
-		panic(rangeError{off, w.n})
+		panic(rangeError{64, off, w.n})
 	}
 	wi, sh := uint(off)/64, uint(off)%64
 	v := w.words[wi] << sh
@@ -123,13 +122,13 @@ func (w *ChipWords) Word64(off int) uint64 {
 	return v
 }
 
-// rangeError is Word64's panic value for a window outside the stream. Its
-// message is formatted only when printed, which keeps Word64 cheap enough
-// to inline.
-type rangeError struct{ off, n int }
+// rangeError is the panic value of Word32 and Word64 for a window outside
+// the stream; width (32 or 64) names the accessor. Its message is formatted
+// only when printed, which keeps both accessors cheap enough to inline.
+type rangeError struct{ width, off, n int }
 
 func (e rangeError) Error() string {
-	return fmt.Sprintf("bitutil: Word64(%d) out of range for %d chips", e.off, e.n)
+	return fmt.Sprintf("bitutil: Word%d(%d) out of range for %d chips", e.width, e.off, e.n)
 }
 
 // Words exposes the packed backing words read-only: word i holds chips

@@ -212,6 +212,27 @@ func TestChipWordsPanics(t *testing.T) {
 	}
 }
 
+// TestWordRangePanicMessage checks that Word32 and Word64 share a lazily
+// formatted panic value whose message still names the accessor.
+func TestWordRangePanicMessage(t *testing.T) {
+	w := NewChipWords(64)
+	for want, fn := range map[string]func(){
+		"bitutil: Word32(33) out of range for 64 chips": func() { w.Word32(33) },
+		"bitutil: Word32(-1) out of range for 64 chips": func() { w.Word32(-1) },
+		"bitutil: Word64(1) out of range for 64 chips":  func() { w.Word64(1) },
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || err.Error() != want {
+					t.Errorf("panic %v, want error %q", err, want)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 // FuzzChipWords drives the packed type against the byte-slice reference:
 // pack/unpack, Word32 at every offset, an arbitrary CopyFrom, an XOR apply
 // and OnesCount must all agree with the naive byte implementation.

@@ -5,6 +5,9 @@
 // rate-1/2 convolutional code is linear, decoding the all-zeros codeword
 // through the observed error pattern reproduces exactly the residual errors
 // any real data would have suffered, so no reference payload is needed.
+// Delivery only asks whether those residual errors are all zero, so the
+// schemes use fec.DecodesToZero, which answers that without the SOVA
+// traceback and reliabilities fec.Decode computes for SoftPHY hints.
 package schemes
 
 import (
@@ -74,20 +77,20 @@ func allZero(bits []byte) bool {
 	return true
 }
 
-// blockRepaired decodes one coded block's error pattern and reports whether
-// the code fully repaired it. An error-free block short-circuits: hard-
-// decision Viterbi of the uncorrupted codeword is the identity, so the
-// trellis only runs where the channel actually did damage — post-processing
-// cost scales with corruption, not payload size.
+// blockRepaired reports whether the code fully repairs one coded block's
+// error pattern, i.e. whether Viterbi decoding of the all-zeros codeword
+// through it returns all-zero data. An error-free block short-circuits
+// (decoding an uncorrupted codeword is the identity); a damaged one runs
+// fec.DecodesToZero, which answers exactly that question from the
+// path-metric recursion alone and stops at the step where the zero path
+// loses state 0, so post-processing cost scales with damage, not payload
+// size.
 func blockRepaired(errBits []byte) bool {
 	if allZero(errBits) {
 		return true
 	}
-	res, err := fec.Decode(errBits)
-	if err != nil {
-		return false
-	}
-	return allZero(res.Bits)
+	ok, err := fec.DecodesToZero(errBits)
+	return err == nil && ok
 }
 
 // ---- Block FEC (Sec. 8.3's coding alternative) ----
