@@ -10,6 +10,7 @@ package ppr
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"net"
 	"os"
@@ -318,9 +319,11 @@ func BenchmarkTraceCache(b *testing.B) {
 
 // BenchmarkSchemePostProcess times one registered scheme's post-processing
 // pass over a shared high-load trace, masks precomputed — the marginal cost
-// of one figure curve, per scheme. The FEC family's cost here is the
-// per-block zero check (fec.DecodesToZero): clean blocks skip it, damaged
-// ones stop at the step the zero path loses state 0, so it tracks damage.
+// of one figure curve, per scheme. The FEC family builds each damaged
+// packet's packed error pattern from its wrong symbols only and runs the
+// per-block zero check (fec.DecodesToZero) on damaged blocks: most are
+// settled by its weight or impulse screen, the rest stop at the step the
+// zero path loses state 0, so the cost tracks damage.
 func BenchmarkSchemePostProcess(b *testing.B) {
 	o := experiments.Options{Seed: 1, Quick: true}
 	tr := o.Trace(experiments.LoadHigh, false)
@@ -666,7 +669,9 @@ func BenchmarkFECDecode(b *testing.B) {
 // BenchmarkFECZeroCheck compares the full SOVA decode with the zero check
 // the FEC recovery schemes score blocks with, on one 25-byte block's coded
 // error pattern: clean, three isolated errors (repaired), and 3% noise.
-// TestDecodesToZeroMatchesDecode proves both give the same answer.
+// The zero check reads the pattern packed, as the schemes build it; the
+// packing happens outside the timed loop. TestDecodesToZeroMatchesDecode
+// proves both give the same answer.
 func BenchmarkFECZeroCheck(b *testing.B) {
 	n := fec.EncodedLen(25 * 8)
 	weight3 := make([]byte, n)
@@ -695,15 +700,46 @@ func BenchmarkFECZeroCheck(b *testing.B) {
 	})
 	b.Run("zero-check", func(b *testing.B) {
 		for _, c := range cases {
+			packed := bitutil.PackChipBytes(c.coded)
 			b.Run(c.name, func(b *testing.B) {
+				var tally fec.ZeroCheckTally
 				for i := 0; i < b.N; i++ {
-					if _, err := fec.DecodesToZero(c.coded); err != nil {
+					if _, err := fec.DecodesToZero(packed, &tally); err != nil {
 						b.Fatal(err)
 					}
 				}
+				tally.Publish()
 			})
 		}
 	})
+}
+
+// BenchmarkNearestHard times the hard despreader on received words d chips
+// from a codeword: d0 and d3 are answered by the half-table screen; d7 lies
+// past its radius, so nearly every word runs the full 16-codeword search,
+// the path about a fifth of trace-high's symbols take.
+func BenchmarkNearestHard(b *testing.B) {
+	for _, d := range []int{0, 3, 7} {
+		rng := stats.NewRNG(uint64(1900 + d))
+		words := make([]uint32, 1024)
+		for i := range words {
+			w := chipseq.Codeword(byte(rng.Intn(chipseq.NumSymbols)))
+			for _, c := range rng.Perm(chipseq.ChipsPerSymbol)[:d] {
+				w ^= 1 << uint(c)
+			}
+			words[i] = w
+		}
+		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
+			var sink int
+			for i := 0; i < b.N; i++ {
+				_, dist := chipseq.NearestHard(words[i&1023])
+				sink += dist
+			}
+			if sink < 0 {
+				b.Fatal("negative distance")
+			}
+		})
+	}
 }
 
 // BenchmarkReceiveSteadyState measures the full receive pipeline (sync scan

@@ -61,7 +61,7 @@ func main() {
 		}
 		var kbps []float64
 		for _, fr := range res.Flows {
-			kbps = append(kbps, float64(fr.DeliveredAppBytes)*8 / *duration/1000)
+			kbps = append(kbps, float64(fr.DeliveredAppBytes)*8 / *duration / 1000)
 		}
 		fmt.Printf("%-16s aggregate %7.0f Kbit/s  median %6.0f  fairness %.3f  (%d domains)\n",
 			layer, res.AggregateKbps(), stats.MedianOrZero(kbps), stats.JainFairness(kbps), res.Domains)

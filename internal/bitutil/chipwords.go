@@ -45,7 +45,8 @@ func PackChipBytes(chips []byte) *ChipWords {
 
 // PackWord32s packs a codeword sequence, 32 chips per entry, two entries
 // per word — the transmitter-side fast path from spread symbols to the
-// on-air stream.
+// on-air stream, and how the FEC schemes pack an error pattern they
+// assemble eight 4-bit symbols per entry.
 func PackWord32s(cws []uint32) *ChipWords {
 	w := NewChipWords(len(cws) * 32)
 	for i, cw := range cws {
@@ -133,10 +134,10 @@ func (e rangeError) Error() string {
 
 // Words exposes the packed backing words read-only: word i holds chips
 // [64i, 64i+64), chip 64i at bit 63. Bits at or past Len() are unspecified.
-// It exists for offset-sweeping hot loops (the sync scan) that hoist word
-// loads out of their inner loop instead of paying a Word64 call per offset;
-// everything else should use the bounds-checked accessors. Callers must not
-// modify the returned slice.
+// It exists for hot loops (the sync scan, the FEC zero check) that hoist
+// word loads out of their inner loop instead of paying a Word64 call per
+// offset; everything else should use the bounds-checked accessors. Callers
+// must not modify the returned slice.
 func (w *ChipWords) Words() []uint64 { return w.words }
 
 // run64 extracts width (≤ 64) chips starting at off, left-aligned: the

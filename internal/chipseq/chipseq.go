@@ -100,12 +100,68 @@ func Signed(s byte) *[ChipsPerSymbol]float64 {
 // which is deterministic and unbiased with respect to correctness labelling.
 //
 // This is the despreader's innermost loop — one call per received symbol —
-// so it is fully unrolled over the 16 codewords and branch-free: each
-// candidate packs (distance, symbol) into one word and a compare-move
-// tournament keeps the minimum, which the compiler lowers to CMOVs rather
-// than data-dependent branches. Packing the symbol in the low bits makes
-// the tie-break to the lowest symbol fall out of the numeric minimum.
+// so most words are answered by a screen: the half tables name the one
+// codeword a 16-chip half could belong to, and a candidate within
+// screenRadius chips is returned as is. That is exact. The code book's
+// minimum distance is 2·screenRadius+2 = 12, so every other codeword is at
+// least 7 chips away and the candidate is the unique nearest (no tie). And
+// a word within screenRadius chips of a codeword holds at most halfRadius
+// of those chip errors in one of its halves, whose table entry therefore
+// names that codeword. Words the screen cannot place run nearestAll.
 func NearestHard(received uint32) (sym byte, dist int) {
+	s := nearHigh[received>>16]
+	if d := bits.OnesCount32(received ^ codebook[s&(NumSymbols-1)]); d <= screenRadius {
+		return s, d
+	}
+	s = nearLow[received&0xFFFF]
+	if d := bits.OnesCount32(received ^ codebook[s&(NumSymbols-1)]); d <= screenRadius {
+		return s, d
+	}
+	return nearestAll(received)
+}
+
+// screenRadius is the largest distance NearestHard's screen answers:
+// (MinPairDistance()−1)/2. halfRadius is how far from a codeword's half a
+// 16-chip half may be for the half tables to name it; halves of distinct
+// codewords differ in at least 2·halfRadius+1 = 5 chips, so the name is
+// unique. TestNearestHardScreen derives both distances from the code book.
+const (
+	screenRadius = 5
+	halfRadius   = 2
+)
+
+// nearHigh[h] (nearLow[h]) is the symbol whose codeword's high (low) 16
+// chips lie within halfRadius of h, or 0 when none does. An entry only
+// proposes a candidate that NearestHard then vets by its full distance, so
+// the tables decide speed, never the answer, and need no sentinel.
+var nearHigh, nearLow [1 << 16]byte
+
+func init() {
+	for s := 0; s < NumSymbols; s++ {
+		claimNear(&nearHigh, uint16(codebook[s]>>16), byte(s))
+		claimNear(&nearLow, uint16(codebook[s]), byte(s))
+	}
+}
+
+// claimNear points every table entry within halfRadius chips of half h at
+// symbol s.
+func claimNear(tbl *[1 << 16]byte, h uint16, s byte) {
+	tbl[h] = s
+	for i := 0; i < 16; i++ {
+		tbl[h^1<<i] = s
+		for j := i + 1; j < 16; j++ {
+			tbl[h^1<<i^1<<j] = s
+		}
+	}
+}
+
+// nearestAll is NearestHard without the screen: the full search over the
+// 16 codewords, fully unrolled and branch-free. Each candidate packs
+// (distance, symbol) into one word and a compare-move tournament keeps the
+// minimum, which the compiler lowers to CMOVs rather than data-dependent
+// branches. Packing the symbol in the low bits makes the tie-break to the
+// lowest symbol fall out of the numeric minimum.
+func nearestAll(received uint32) (sym byte, dist int) {
 	m := minU32(packDS(received, 0), packDS(received, 1))
 	m = minU32(m, packDS(received, 2))
 	m = minU32(m, packDS(received, 3))

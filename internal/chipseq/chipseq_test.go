@@ -1,6 +1,7 @@
 package chipseq
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -262,4 +263,86 @@ func TestStringRoundTrip(t *testing.T) {
 			t.Errorf("round trip failed for symbol %d", s)
 		}
 	}
+}
+
+// nearestBrute is the despreader's definition, written as plainly as
+// possible: 16 popcounts, the lowest symbol winning ties.
+func nearestBrute(received uint32) (byte, int) {
+	best, bestD := byte(0), ChipsPerSymbol+1
+	for s := 0; s < NumSymbols; s++ {
+		if d := bits.OnesCount32(received ^ codebook[s]); d < bestD {
+			best, bestD = byte(s), d
+		}
+	}
+	return best, bestD
+}
+
+// TestNearestHardScreen checks the screen's two premises from the code
+// book — minimum distance 2·screenRadius+2 and half-codeword minimum
+// distance 2·halfRadius+1 — then pins NearestHard to the brute-force
+// definition on every word within screenRadius+1 chips of every codeword
+// (~18M words, covering the screen's edge and the first words past it)
+// and on 1M seeded random words.
+func TestNearestHardScreen(t *testing.T) {
+	if d := MinPairDistance(); d != 2*screenRadius+2 {
+		t.Fatalf("code book minimum distance %d, screen assumes %d", d, 2*screenRadius+2)
+	}
+	for _, shift := range []uint{16, 0} {
+		halfMin := 17
+		for a := 0; a < NumSymbols; a++ {
+			for b := a + 1; b < NumSymbols; b++ {
+				halfMin = min(halfMin, bits.OnesCount16(uint16(codebook[a]>>shift)^uint16(codebook[b]>>shift)))
+			}
+		}
+		if halfMin != 2*halfRadius+1 {
+			t.Fatalf("half (shift %d) minimum distance %d, screen assumes %d", shift, halfMin, 2*halfRadius+1)
+		}
+	}
+
+	check := func(rx uint32) {
+		gs, gd := NearestHard(rx)
+		ws, wd := nearestBrute(rx)
+		if gs != ws || gd != wd {
+			t.Fatalf("NearestHard(%08x) = (%d, %d), brute force (%d, %d)", rx, gs, gd, ws, wd)
+		}
+	}
+	words := 0
+	var flip func(rx uint32, from, left int)
+	flip = func(rx uint32, from, left int) {
+		check(rx)
+		words++
+		if left == 0 {
+			return
+		}
+		for i := from; i < ChipsPerSymbol; i++ {
+			flip(rx^1<<uint(i), i+1, left-1)
+		}
+	}
+	for s := 0; s < NumSymbols; s++ {
+		flip(codebook[s], 0, screenRadius+1)
+	}
+	rng := rand.New(rand.NewSource(1717))
+	for i := 0; i < 1<<20; i++ {
+		check(rng.Uint32())
+	}
+	t.Logf("%d words near codewords, %d random", words, 1<<20)
+}
+
+// FuzzNearestHard pins NearestHard to the brute-force definition on
+// arbitrary words.
+func FuzzNearestHard(f *testing.F) {
+	for s := 0; s < NumSymbols; s++ {
+		f.Add(codebook[s])
+		f.Add(codebook[s] ^ 0x0000001F)    // 5 errors in the low half
+		f.Add(codebook[s] ^ 0x0007000E)    // 3 + 3 errors
+		f.Add(codebook[s] ^ 0x8000003F)    // 7 errors
+		f.Add(codebook[s] ^ codebook[s^1]) // the XOR of two codewords
+	}
+	f.Fuzz(func(t *testing.T, rx uint32) {
+		gs, gd := NearestHard(rx)
+		ws, wd := nearestBrute(rx)
+		if gs != ws || gd != wd {
+			t.Fatalf("NearestHard(%08x) = (%d, %d), brute force (%d, %d)", rx, gs, gd, ws, wd)
+		}
+	})
 }

@@ -20,9 +20,10 @@
 //
 // DecodesToZero is the decoder's yes/no sibling: it reports whether Decode
 // would return all-zero bits, which is all the FEC recovery schemes need
-// when they score a block by decoding its channel error pattern, and it
-// gets there with the path-metric recursion alone (no traceback, no
-// reliabilities, no allocation), usually stopping early.
+// when they score a block by decoding its channel error pattern. It reads
+// the pattern packed, settles most blocks with an exact weight or impulse
+// screen, and runs the path-metric recursion alone (no traceback, no
+// reliabilities, no allocation) on the rest, usually stopping early.
 package fec
 
 import (
@@ -30,6 +31,7 @@ import (
 	"math"
 	"math/bits"
 
+	"ppr/internal/bitutil"
 	"ppr/internal/phy"
 )
 
@@ -135,14 +137,14 @@ func init() {
 	}
 }
 
-// branchCount returns the number of Rate-bit branches in a coded stream,
+// branchCount returns the number of Rate-bit branches in n coded bits,
 // or an error when the stream is not whole branches or is shorter than the
 // encoder's zero tail.
-func branchCount(coded []byte) (int, error) {
-	if len(coded)%Rate != 0 {
-		return 0, fmt.Errorf("fec: coded length %d not a multiple of %d", len(coded), Rate)
+func branchCount(n int) (int, error) {
+	if n%Rate != 0 {
+		return 0, fmt.Errorf("fec: coded length %d not a multiple of %d", n, Rate)
 	}
-	nBranches := len(coded) / Rate
+	nBranches := n / Rate
 	if nBranches < K-1 {
 		return 0, fmt.Errorf("fec: %d branches shorter than the %d-bit tail", nBranches, K-1)
 	}
@@ -162,7 +164,7 @@ func branchCount(coded []byte) (int, error) {
 // O(n·5K). Outputs are bit-identical to the frozen reference
 // (internal/fec/sovaref); the parity tests pin that.
 func Decode(coded []byte) (Result, error) {
-	nBranches, err := branchCount(coded)
+	nBranches, err := branchCount(len(coded))
 	if err != nil {
 		return Result{}, err
 	}
@@ -312,10 +314,51 @@ func Decode(coded []byte) (Result, error) {
 	return res, nil
 }
 
-// DecodesToZero reports whether Decode(coded) would return all-zero Bits,
-// with Decode's errors, without the traceback: it runs only the
-// path-metric recursion (same warm-up switch, tables and tie rule) and
-// keeps no survivors, margins or heap memory.
+// freeDistance is the code's free distance d_free: the least output weight
+// of any detour, a path that leaves state 0 and later returns to it.
+// TestZeroCheckScreenPremises derives it from the trellis.
+const freeDistance = 10
+
+// impulse is the impulse detour Encode([1]) — input 1 then K−1 zeros, K
+// branches that leave state 0 and return to it — packed like a ChipWords
+// word, first coded bit at bit 63. impulseWeight is its output weight.
+var (
+	impulse       uint64
+	impulseWeight int
+)
+
+func init() {
+	for i, b := range Encode([]byte{1}) {
+		impulse |= uint64(b) << uint(63-i)
+	}
+	impulseWeight = bits.OnesCount64(impulse)
+}
+
+// ZeroCheckTally counts DecodesToZero calls in the caller's own memory:
+// every call, the calls a screen answered, and the trellis steps the rest
+// ran. A caller scoring many blocks publishes the batch with Publish, one
+// counter Add each, so enabling metrics costs nothing per check.
+type ZeroCheckTally struct {
+	Checks, Screened, Steps int64
+}
+
+// Publish adds the tally to fec.zero_checks, fec.zero_check_screened and
+// fec.zero_check_steps.
+func (t *ZeroCheckTally) Publish() {
+	if t.Checks == 0 {
+		return
+	}
+	mZeroChecks.Get().Add(t.Checks)
+	mZeroCheckScreened.Get().Add(t.Screened)
+	mZeroCheckSteps.Get().Add(t.Steps)
+}
+
+// DecodesToZero reports whether Decode would return all-zero Bits for the
+// coded stream, packed one coded bit per chip, with Decode's errors. It
+// never runs the traceback: two O(1)-per-error screens settle most
+// streams, and the rest run only the path-metric recursion (same warm-up
+// switch, tables and tie rule as Decode) with no survivors, margins or
+// heap memory. tally records the call.
 //
 // The answer is exact. Viterbi keeps one survivor per state, and the
 // all-zero path sits in state 0 at every step, so once state 0's
@@ -323,15 +366,32 @@ func Decode(coded []byte) (Result, error) {
 // If that never happens, the traceback from state 0 walks the zero path
 // and every bit is 0. If it happens, the decoded path is not the zero
 // path yet still ends in state 0, so its last K−1 inputs are 0 and one of
-// its data bits is 1. The check therefore returns false at the first step
-// where state 0 switches to predecessor 1; on the FEC schemes' high-load
-// trace that is after about 40 of a 25-byte block's 206 steps on average.
-func DecodesToZero(coded []byte) (bool, error) {
-	nBranches, err := branchCount(coded)
+// its data bits is 1. The trellis therefore returns false at the first
+// step where state 0 switches to predecessor 1.
+//
+// The screens decide the same question from the error pattern alone:
+//   - Weight: a path that displaces the zero path at state 0 is a chain of
+//     detours, each of output weight |o| ≥ freeDistance, and against r
+//     received ones it costs Σ(|o| − 2|r∧o|) ≥ freeDistance − 2|r| more
+//     than the zero path. With 2|r| ≤ freeDistance that is never
+//     negative, and state 0 picks predecessor 1 only when it is strictly
+//     better (ties keep predecessor 0): true.
+//   - Impulse: if a whole K-branch window [u, u+K) holds more than half of
+//     the impulse detour's ones, the impulse path leaving state 0 at u
+//     beats the zero path at step u+K. State 0's metric is the exact
+//     minimum over paths into it, so the zero path has been displaced by
+//     then, and displacement is permanent: false.
+func DecodesToZero(coded *bitutil.ChipWords, tally *ZeroCheckTally) (bool, error) {
+	nBranches, err := branchCount(coded.Len())
 	if err != nil {
 		return false, err
 	}
-	mZeroChecks.Get().Inc()
+	tally.Checks++
+	words := coded.Words()
+	if ok, settled := screen(coded, nBranches); settled {
+		tally.Screened++
+		return ok, nil
+	}
 	const inf = math.MaxInt32 / 2
 
 	var ma, mb [numStates]int32
@@ -343,12 +403,14 @@ func DecodesToZero(coded []byte) (bool, error) {
 	// Warm-up: the selections of Decode's reachability switch, metrics
 	// only. State 0's predecessor 1 (oldest register bit set) is
 	// unreachable before step K−1, so state 0 keeps the zero path here.
+	// Branch t's two coded bits sit at bits 63−2(t%32) and 62−2(t%32) of
+	// word t/32, so one shift yields Decode's rx symbol.
 	warm := K - 1
 	if warm > nBranches {
 		warm = nBranches
 	}
 	for t := 0; t < warm; t++ {
-		rx := coded[t*Rate]<<1 | coded[t*Rate+1]
+		rx := words[t>>5] >> (62 - 2*uint(t&31))
 		bm := &branchMetrics[rx&0b11]
 		for ns := 0; ns < numStates; ns++ {
 			b := ns >> (K - 2)
@@ -375,10 +437,10 @@ func DecodesToZero(coded []byte) (bool, error) {
 	// exactly when Decode's survivor bit 0 would be set (d < 0, ties to
 	// predecessor 0).
 	for t := warm; t < nBranches; t++ {
-		rx := coded[t*Rate]<<1 | coded[t*Rate+1]
+		rx := words[t>>5] >> (62 - 2*uint(t&31))
 		bm := &butterflyBM[rx&0b11]
 		if a := bm[0]; metric[1]+2-a < metric[0]+a {
-			mZeroCheckSteps.Get().Add(int64(t + 1))
+			tally.Steps += int64(t + 1)
 			return false, nil
 		}
 		for j := 0; j < numStates/2; j++ {
@@ -394,8 +456,50 @@ func DecodesToZero(coded []byte) (bool, error) {
 		}
 		metric, next = next, metric
 	}
-	mZeroCheckSteps.Get().Add(int64(nBranches))
+	tally.Steps += int64(nBranches)
 	return true, nil
+}
+
+// screen applies DecodesToZero's weight and impulse screens to the packed
+// coded bits (nBranches branches), returning settled = false when neither
+// decides. It visits only the set bits, and a K-branch window only when a
+// set bit lies in it: a window without ones cannot hold impulse ones. A
+// stray bit past Len() can only add checks of windows that lie inside the
+// stream, so the last word needs no mask.
+func screen(coded *bitutil.ChipWords, nBranches int) (ok, settled bool) {
+	if 2*coded.OnesCount() <= freeDistance {
+		return true, true
+	}
+	words := coded.Words()
+	lastU := nBranches - K // last window start that fits the trellis
+	nextU := 0             // first window start not yet checked
+	for wi := 0; wi*64 < coded.Len() && nextU <= lastU; wi++ {
+		for w := words[wi]; w != 0; {
+			lz := bits.LeadingZeros64(w)
+			w &^= 1 << uint(63-lz)
+			// Bit p lies in the windows [2u, 2u+2K) with p/2−K < u ≤ p/2.
+			p := wi*64 + lz
+			u, hi := max(p/2-(K-1), nextU), min(p/2, lastU)
+			for ; u <= hi; u++ {
+				if 2*bits.OnesCount64(window64(words, 2*u)&impulse) > impulseWeight {
+					return false, true
+				}
+			}
+			nextU = max(nextU, hi+1)
+		}
+	}
+	return false, false
+}
+
+// window64 reads the packed bits from bit off on, first bit at bit 63; the
+// caller masks it to a window that lies wholly inside the stream.
+func window64(words []uint64, off int) uint64 {
+	wi, sh := off>>6, uint(off&63)
+	v := words[wi] << sh
+	if sh > 0 && wi+1 < len(words) {
+		v |= words[wi+1] >> (64 - sh)
+	}
+	return v
 }
 
 // BitsFromBytes explodes bytes into bits, LSB first per byte (matching the

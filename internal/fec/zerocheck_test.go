@@ -1,15 +1,18 @@
 package fec_test
 
 import (
+	"bytes"
 	"testing"
 
+	"ppr/internal/bitutil"
 	"ppr/internal/fec"
 	"ppr/internal/stats"
 )
 
 // Parity suite for DecodesToZero: on every input it must answer exactly
 // allZero(Decode(coded).Bits), and fail with Decode's error where Decode
-// fails. Decode is the oracle (itself pinned to the frozen sovaref).
+// fails. Decode on the byte-per-bit stream is the oracle (itself pinned to
+// the frozen sovaref); DecodesToZero gets the same stream packed.
 
 // blockBits is the coded length of one 25-byte FEC scheme block.
 var blockBits = fec.EncodedLen(25 * 8)
@@ -27,9 +30,16 @@ func decodesToZeroOracle(coded []byte) (bool, error) {
 	return true, nil
 }
 
+// zeroCheck runs DecodesToZero on a byte-per-bit stream, tallying into
+// tally.
+func zeroCheck(coded []byte, tally *fec.ZeroCheckTally) (bool, error) {
+	return fec.DecodesToZero(bitutil.PackChipBytes(coded), tally)
+}
+
 func assertZeroCheckParity(t testing.TB, coded []byte) {
 	t.Helper()
-	got, gotErr := fec.DecodesToZero(coded)
+	var tally fec.ZeroCheckTally
+	got, gotErr := zeroCheck(coded, &tally)
 	want, wantErr := decodesToZeroOracle(coded)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("error divergence on %d coded bits: got %v want %v", len(coded), gotErr, wantErr)
@@ -42,6 +52,12 @@ func assertZeroCheckParity(t testing.TB, coded []byte) {
 			}
 		}
 		t.Fatalf("DecodesToZero = %v, Decode says %v on %d coded bits with ones at %v", got, want, len(coded), ones)
+	}
+	// The same stream as a view whose last word carries ones past its end,
+	// which ChipWords leaves unspecified.
+	dirty := append(append([]byte(nil), coded...), bytes.Repeat([]byte{1}, 64)...)
+	if got, _ := fec.DecodesToZero(bitutil.PackChipBytes(dirty).Slice(0, len(coded)), &tally); got != want {
+		t.Fatalf("DecodesToZero = %v on a view with ones past its end, Decode says %v", got, want)
 	}
 }
 
@@ -181,7 +197,7 @@ func TestDecodesToZeroMatchesDecode(t *testing.T) {
 	lost := 0
 	for _, coded := range tieStreams() {
 		assertZeroCheckParity(t, coded)
-		if ok, _ := fec.DecodesToZero(coded); !ok {
+		if ok, _ := zeroCheck(coded, new(fec.ZeroCheckTally)); !ok {
 			lost++
 		}
 		coded[rng.Intn(len(coded))] ^= 1
@@ -194,7 +210,7 @@ func TestDecodesToZeroMatchesDecode(t *testing.T) {
 		subsets(impulseOnes(p, 25*8), 6, func(pick []int) {
 			coded := withOnes(blockBits, pick...)
 			assertZeroCheckParity(t, coded)
-			if ok, _ := fec.DecodesToZero(coded); ok {
+			if ok, _ := zeroCheck(coded, new(fec.ZeroCheckTally)); ok {
 				t.Fatalf("6 of 10 impulse ones at %v decoded to zero", pick)
 			}
 		})
@@ -253,13 +269,16 @@ func FuzzDecodesToZeroParity(f *testing.F) {
 // sparse and noisy blocks (metrics disabled, the default).
 func TestDecodesToZeroAllocs(t *testing.T) {
 	rng := stats.NewRNG(1515)
+	var tally fec.ZeroCheckTally
 	for name, coded := range map[string][]byte{
 		"clean":   make([]byte, blockBits),
 		"weight3": withOnes(blockBits, 10, 11, 300),
+		"weight5": withOnes(blockBits, 10, 40, 70, 100, 300),
 		"noise3%": noisyStream(rng, blockBits, 0.03),
 	} {
+		packed := bitutil.PackChipBytes(coded)
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := fec.DecodesToZero(coded); err != nil {
+			if _, err := fec.DecodesToZero(packed, &tally); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -267,4 +286,90 @@ func TestDecodesToZeroAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
 		}
 	}
+}
+
+// TestZeroCheckScreenBoundaries walks the two screens' edges against the
+// Decode oracle: every weight-4, weight-5 and weight-6 pattern of a 14-bit
+// window (the weight screen answers up to 5, where the worst pattern ties
+// the impulse path), and the
+// impulse codeword with exactly 5 and 6 of its ones at every branch offset
+// — the 6-hit windows that fit must lose the zero path, and those cut off
+// by the block end must be left to the trellis.
+func TestZeroCheckScreenBoundaries(t *testing.T) {
+	short := fec.EncodedLen(14)
+	for _, n := range []int{short, blockBits} {
+		for _, off := range []int{0, n/2 - 7, n - 14} {
+			for _, w := range []int{4, 5, 6} {
+				window := make([]int, 14)
+				for i := range window {
+					window[i] = off + i
+				}
+				subsets(window, w, func(pick []int) {
+					assertZeroCheckParity(t, withOnes(n, pick...))
+				})
+			}
+		}
+	}
+
+	rng := stats.NewRNG(1616)
+	for _, nData := range []int{14, 25 * 8} {
+		n := fec.EncodedLen(nData)
+		nBranches := n / 2
+		for u := 0; u < nBranches; u++ {
+			// The impulse's ones shifted to branch u, cut at the block end.
+			var ones []int
+			for _, i := range impulseOnes(0, 1) {
+				if 2*u+i < n {
+					ones = append(ones, 2*u+i)
+				}
+			}
+			fits := u+fec.K <= nBranches
+			for _, hits := range []int{5, 6} {
+				if hits > len(ones) {
+					continue
+				}
+				check := func(pick []int) {
+					coded := withOnes(n, pick...)
+					assertZeroCheckParity(t, coded)
+					if hits == 6 && fits {
+						if ok, _ := zeroCheck(coded, new(fec.ZeroCheckTally)); ok {
+							t.Fatalf("6 impulse ones at %v (branch %d of %d) decoded to zero", pick, u, nBranches)
+						}
+					}
+				}
+				if nData == 14 {
+					subsets(ones, hits, check) // every subset at every offset
+					continue
+				}
+				// Full blocks: a few random subsets per offset.
+				for k := 0; k < 4; k++ {
+					perm := rng.Perm(len(ones))
+					pick := make([]int, hits)
+					for i := range pick {
+						pick[i] = ones[perm[i]]
+					}
+					check(pick)
+				}
+			}
+		}
+	}
+}
+
+// TestZeroCheckTally checks what the tally records: every call, the
+// screened ones, and the trellis steps of the rest; Publish leaves it as
+// is.
+func TestZeroCheckTally(t *testing.T) {
+	var tally fec.ZeroCheckTally
+	for _, coded := range [][]byte{
+		withOnes(blockBits, impulseOnes(9, 25*8)[:5]...), // weight screen
+		withOnes(blockBits, impulseOnes(9, 25*8)[:6]...), // impulse screen
+		withOnes(blockBits, 0, 80, 160, 240, 320, 400),   // trellis, repaired
+		make([]byte, 3), // error: not counted
+	} {
+		zeroCheck(coded, &tally)
+	}
+	if want := (fec.ZeroCheckTally{Checks: 3, Screened: 2, Steps: int64(blockBits / 2)}); tally != want {
+		t.Errorf("tally = %+v, want %+v", tally, want)
+	}
+	tally.Publish()
 }

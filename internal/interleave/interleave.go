@@ -39,33 +39,38 @@ func (b Block) Size() int { return b.rows * b.cols }
 // Interleave permutes data block by block. len(data) must be a multiple of
 // Size().
 func (b Block) Interleave(data []byte) []byte {
-	return b.permute(data, true)
+	b.checkLen(len(data))
+	out := make([]byte, len(data))
+	for p := range out {
+		out[p] = data[b.DataIndex(p)]
+	}
+	return out
 }
 
 // Deinterleave inverts Interleave.
 func (b Block) Deinterleave(data []byte) []byte {
-	return b.permute(data, false)
-}
-
-func (b Block) permute(data []byte, forward bool) []byte {
-	if len(data)%b.Size() != 0 {
-		panic(fmt.Sprintf("interleave: length %d not a multiple of block size %d", len(data), b.Size()))
-	}
+	b.checkLen(len(data))
 	out := make([]byte, len(data))
-	for blk := 0; blk < len(data); blk += b.Size() {
-		for r := 0; r < b.rows; r++ {
-			for c := 0; c < b.cols; c++ {
-				rowMajor := blk + r*b.cols + c
-				colMajor := blk + c*b.rows + r
-				if forward {
-					out[colMajor] = data[rowMajor]
-				} else {
-					out[rowMajor] = data[colMajor]
-				}
-			}
-		}
+	for p, v := range data {
+		out[b.DataIndex(p)] = v
 	}
 	return out
+}
+
+// DataIndex is the interleaver's index map: the symbol sent at channel
+// position p is the one at position DataIndex(p) of the data, within the
+// same block. Inside a block the channel reads column-major what the data
+// wrote row-major. Deinterleaving a sparse pattern needs only this map for
+// its set positions, so its cost follows the pattern's weight.
+func (b Block) DataIndex(p int) int {
+	q := p % b.Size()
+	return p - q + q%b.rows*b.cols + q/b.rows
+}
+
+func (b Block) checkLen(n int) {
+	if n%b.Size() != 0 {
+		panic(fmt.Sprintf("interleave: length %d not a multiple of block size %d", n, b.Size()))
+	}
 }
 
 // Pad returns data extended with zeros to the next multiple of Size(),

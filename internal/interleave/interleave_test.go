@@ -25,6 +25,26 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDataIndexTransposesTiles pins the index map on a 2×3 tile: the data
+// is written row-major [[0 1 2] [3 4 5]] and sent column-major, tile by
+// tile.
+func TestDataIndexTransposesTiles(t *testing.T) {
+	b := New(2, 3)
+	want := []byte{0, 3, 1, 4, 2, 5, 6, 9, 7, 10, 8, 11}
+	for p, d := range want {
+		if got := b.DataIndex(p); got != int(d) {
+			t.Errorf("DataIndex(%d) = %d, want %d", p, got, d)
+		}
+	}
+	data := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	if got := b.Interleave(data); !bytes.Equal(got, want) {
+		t.Errorf("Interleave = %v, want %v", got, want)
+	}
+	if got := b.Deinterleave(want); !bytes.Equal(got, data) {
+		t.Errorf("Deinterleave = %v, want %v", got, data)
+	}
+}
+
 func TestInterleaveIsPermutation(t *testing.T) {
 	b := New(8, 16)
 	data := make([]byte, b.Size())

@@ -7,10 +7,15 @@
 // any real data would have suffered, so no reference payload is needed.
 // Delivery only asks whether those residual errors are all zero, so the
 // schemes use fec.DecodesToZero, which answers that without the SOVA
-// traceback and reliabilities fec.Decode computes for SoftPHY hints.
+// traceback and reliabilities fec.Decode computes for SoftPHY hints. The
+// error pattern is packed one coded bit per chip of a bitutil.ChipWords and
+// built from the damaged symbols only, so scoring cost follows the damage.
 package schemes
 
 import (
+	"math/bits"
+
+	"ppr/internal/bitutil"
 	"ppr/internal/fec"
 	"ppr/internal/interleave"
 	"ppr/internal/sim"
@@ -48,48 +53,87 @@ func fecLayout(p Params, payloadBytes int) (nBlocks, dataBits, codedBits int) {
 	return nBlocks, dataBits, codedBits
 }
 
-// channelErrorBits reconstructs the coded-bit error pattern the channel
-// imposed on the payload: per symbol, the XOR of the decoded and true
-// 4-bit values expanded LSB-first; symbols the receiver never decoded
-// (missing prefix, truncated reception) are fully corrupted.
-func channelErrorBits(o *sim.Outcome, payloadBytes int) []byte {
-	nSym := payloadBytes * 2
-	bits := make([]byte, nSym*symbolBits)
+// errorPattern packs the coded-bit error pattern the channel imposed on the
+// first nBits coded bits of the payload, as the decoder sees it: per
+// symbol, the XOR of the decoded and true 4-bit values, LSB first at coded
+// bits 4·idx…4·idx+3; symbols the receiver never decoded (missing prefix,
+// truncated reception) are fully corrupted. Symbols the mask certifies
+// correct contribute nothing. The pattern is assembled eight symbols per
+// 32-bit word and packed once.
+//
+// With interleaved set, the pattern then goes through the receiver's
+// deinterleaver: the transmitter interleaved whole rows×cols bit tiles, so
+// a contiguous channel burst lands InterleaveCols bits apart at the
+// decoder, and a trailing region shorter than one tile is sent
+// uninterleaved. Only set bits move, so that step's cost follows the
+// damage.
+func errorPattern(o *sim.Outcome, mask []bool, p Params, nBits int, interleaved bool) *bitutil.ChipWords {
+	nSym := nBits / symbolBits
+	const symsPerWord = 32 / symbolBits
+	words := make([]uint32, (nSym+symsPerWord-1)/symsPerWord)
 	for idx := 0; idx < nSym; idx++ {
+		if idx < len(mask) && mask[idx] {
+			continue
+		}
 		var e byte = 0xF
 		if di := idx - o.MissingPrefix; di >= 0 && di < len(o.Decisions) && idx < len(o.TruthSyms) {
 			e = (o.Decisions[di].Symbol ^ o.TruthSyms[idx]) & 0xF
 		}
-		for j := 0; j < symbolBits; j++ {
-			bits[idx*symbolBits+j] = e >> uint(j) & 1
+		// Coded bit 4·idx+j is chip 4·idx+j: bit 31−(4·idx+j)%32 of its
+		// word, so the nibble goes in bit-reversed.
+		words[idx/symsPerWord] |= uint32(bits.Reverse8(e)) << 24 >> uint(symbolBits*(idx%symsPerWord))
+	}
+	tiled := 0
+	var il interleave.Block
+	if interleaved {
+		il = interleave.New(ilGeometry(p))
+		tiled = nBits / il.Size() * il.Size()
+	}
+	if tiled == 0 {
+		return bitutil.PackWord32s(words).Slice(0, nBits)
+	}
+	out := bitutil.NewChipWords(nBits)
+	for wi, w := range words {
+		for ; w != 0; w &= w - 1 {
+			q := 32*wi + 31 - bits.TrailingZeros32(w)
+			if q < tiled {
+				q = il.DataIndex(q)
+			}
+			out.SetBit(q, 1)
 		}
 	}
-	return bits
+	return out
 }
 
-// allZero reports whether every bit of an error pattern is clear.
-func allZero(bits []byte) bool {
-	for _, b := range bits {
-		if b != 0 {
+// maskClean reports whether the mask certifies symbols [lo, hi) correct.
+func maskClean(mask []bool, lo, hi int) bool {
+	if hi > len(mask) {
+		return false
+	}
+	for _, ok := range mask[lo:hi] {
+		if !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// blockRepaired reports whether the code fully repairs one coded block's
+// blockRepaired reports whether the code fully repairs block b of a packed
 // error pattern, i.e. whether Viterbi decoding of the all-zeros codeword
-// through it returns all-zero data. An error-free block short-circuits
+// through it returns all-zero data. The block is copied into blk, a
+// reusable buffer one block long. An error-free block short-circuits
 // (decoding an uncorrupted codeword is the identity); a damaged one runs
-// fec.DecodesToZero, which answers exactly that question from the
-// path-metric recursion alone and stops at the step where the zero path
-// loses state 0, so post-processing cost scales with damage, not payload
-// size.
-func blockRepaired(errBits []byte) bool {
-	if allZero(errBits) {
+// fec.DecodesToZero, which answers exactly that question — from its
+// weight or impulse screen when either applies, otherwise from the
+// path-metric recursion, stopping at the step where the zero path loses
+// state 0 — and counts into tally.
+func blockRepaired(pattern *bitutil.ChipWords, b int, blk *bitutil.ChipWords, tally *fec.ZeroCheckTally) bool {
+	n := blk.Len()
+	blk.CopyFrom(0, pattern, b*n, n)
+	if blk.OnesCount() == 0 {
 		return true
 	}
-	ok, err := fec.DecodesToZero(errBits)
+	ok, err := fec.DecodesToZero(blk, tally)
 	return err == nil && ok
 }
 
@@ -136,51 +180,23 @@ func (s BlockFEC) DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, paylo
 	if nBlocks == 0 {
 		return 0
 	}
-	if cleanPayload(mask, payloadBytes) {
+	if maskClean(mask, 0, payloadBytes*2) {
 		return nBlocks * fecDataBytes(p) // error-free packet: every block decodes
 	}
-	region := channelErrorBits(o, payloadBytes)[:nBlocks*codedBits]
-	if s.Interleaved {
-		region = deinterleaved(region, p)
-	}
+	pattern := errorPattern(o, mask, p, nBlocks*codedBits, s.Interleaved)
+	blk := bitutil.NewChipWords(codedBits)
+	var tally fec.ZeroCheckTally
+	symsPerBlock := codedBits / symbolBits
 	delivered := 0
 	for b := 0; b < nBlocks; b++ {
-		if blockRepaired(region[b*codedBits : (b+1)*codedBits]) {
+		// Without interleaving a block's errors are its own symbols', so
+		// the mask finds the clean blocks.
+		if (!s.Interleaved && maskClean(mask, b*symsPerBlock, (b+1)*symsPerBlock)) || blockRepaired(pattern, b, blk, &tally) {
 			delivered += fecDataBytes(p)
 		}
 	}
+	tally.Publish()
 	return delivered
-}
-
-// cleanPayload reports whether the mask certifies every symbol of the
-// payload correct — the fast path that skips error-pattern reconstruction
-// for the (common) undamaged packet.
-func cleanPayload(mask []bool, payloadBytes int) bool {
-	if len(mask) < payloadBytes*2 {
-		return false
-	}
-	for _, ok := range mask[:payloadBytes*2] {
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// deinterleaved applies the receiver's deinterleaver to the coded region's
-// error pattern: the transmitter interleaved whole rows×cols bit tiles, so
-// a contiguous channel burst lands InterleaveCols bits apart at the
-// decoder. A trailing region shorter than one tile is sent (and returned)
-// uninterleaved.
-func deinterleaved(region []byte, p Params) []byte {
-	rows, cols := ilGeometry(p)
-	il := interleave.New(rows, cols)
-	m := len(region) / il.Size() * il.Size()
-	if m == 0 {
-		return region
-	}
-	out := il.Deinterleave(region[:m])
-	return append(out, region[m:]...)
 }
 
 // ---- Hybrid PPR + FEC (the ZipTx/Maranello direction) ----
@@ -217,38 +233,42 @@ func (HybridPPRFEC) DeliveredAppBytes(mask []bool, o *sim.Outcome, p Params, pay
 	mask = maskOf(mask, o)
 	nBlocks, _, codedBits := fecLayout(p, payloadBytes)
 	symsPerBlock := codedBits / symbolBits
-	var errBits []byte // reconstructed lazily, only if some block needs repair
+	var pattern, blk *bitutil.ChipWords // built lazily, only if some block needs repair
+	var tally fec.ZeroCheckTally
 	delivered := 0
 	for b := 0; b < nBlocks; b++ {
 		s0 := b * symsPerBlock
-		flagged := false
-		for idx := s0; idx < s0+symsPerBlock; idx++ {
-			di := idx - o.MissingPrefix
-			if di < 0 || di >= len(o.Decisions) || o.Decisions[di].Hint > p.Eta {
-				flagged = true
-				break
-			}
-		}
-		if !flagged {
-			// Hint-clean block: deliver directly iff actually correct.
-			ok := true
-			for idx := s0; idx < s0+symsPerBlock; idx++ {
-				if idx >= len(mask) || !mask[idx] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				delivered += fecDataBytes(p)
-			}
+		if maskClean(mask, s0, s0+symsPerBlock) {
+			// Correct, so delivered whether handed up directly
+			// (hint-clean) or through the repair of an error-free block.
+			delivered += fecDataBytes(p)
 			continue
 		}
-		if errBits == nil {
-			errBits = channelErrorBits(o, payloadBytes)
+		if !hintFlagged(o, p, s0, s0+symsPerBlock) {
+			// Hint-clean but wrong: handed up without repair, and
+			// delivered-but-wrong is not delivery.
+			continue
 		}
-		if blockRepaired(errBits[b*codedBits : (b+1)*codedBits]) {
+		if pattern == nil {
+			pattern = errorPattern(o, mask, p, nBlocks*codedBits, false)
+			blk = bitutil.NewChipWords(codedBits)
+		}
+		if blockRepaired(pattern, b, blk, &tally) {
 			delivered += fecDataBytes(p)
 		}
 	}
+	tally.Publish()
 	return delivered
+}
+
+// hintFlagged reports whether any of symbols [lo, hi) was undecoded or has
+// a hint above η — the blocks the hybrid routes through the repair.
+func hintFlagged(o *sim.Outcome, p Params, lo, hi int) bool {
+	for idx := lo; idx < hi; idx++ {
+		di := idx - o.MissingPrefix
+		if di < 0 || di >= len(o.Decisions) || o.Decisions[di].Hint > p.Eta {
+			return true
+		}
+	}
+	return false
 }

@@ -401,6 +401,9 @@ func TestSchemesHonorPrecomputedMask(t *testing.T) {
 	}
 }
 
+// TestChannelErrorBits pins the frozen byte-per-bit oracle on a hand-built
+// outcome and checks the packed errorPattern against it, plain and through
+// the deinterleaver.
 func TestChannelErrorBits(t *testing.T) {
 	o := &sim.Outcome{
 		Acquired:      true,
@@ -423,5 +426,22 @@ func TestChannelErrorBits(t *testing.T) {
 	bits = channelErrorBits(o, 2)
 	if !reflect.DeepEqual(bits[8:12], []byte{1, 1, 0, 0}) {
 		t.Errorf("error nibble = %v, want [1 1 0 0]", bits[8:12])
+	}
+
+	// The packed pattern, over every symbol and over a prefix; the 2x4
+	// tile then deinterleaves the first 8 of the 12 bits.
+	p := Params{InterleaveRows: 2, InterleaveCols: 4}
+	for _, n := range []int{16, 12} {
+		if got := errorPattern(o, o.CorrectMask(), p, n, false).Bytes(); !reflect.DeepEqual(got, bits[:n]) {
+			t.Errorf("errorPattern(%d bits) = %v, want %v", n, got, bits[:n])
+		}
+	}
+	if got, want := errorPattern(o, o.CorrectMask(), p, 12, true).Bytes(), deinterleaved(bits[:12], p); !reflect.DeepEqual(got, want) {
+		t.Errorf("deinterleaved errorPattern = %v, want %v", got, want)
+	}
+	// Symbols past the truth are undecodable, hence fully corrupt.
+	o.TruthSyms = o.TruthSyms[:3]
+	if got := errorPattern(o, o.CorrectMask(), p, 16, false).Bytes(); !reflect.DeepEqual(got[12:], []byte{1, 1, 1, 1}) {
+		t.Errorf("symbol past the truth = %v, want [1 1 1 1]", got[12:])
 	}
 }
