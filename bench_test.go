@@ -1,10 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one Benchmark per artifact; see DESIGN.md's experiment index), plus
-// ablation benches for the design choices the system makes and
-// micro-benchmarks for the hot paths.
+// (BenchmarkExperiment, one sub-benchmark per registered experiment; see
+// DESIGN.md's experiment index), plus ablation benches for the design
+// choices the system makes and micro-benchmarks for the hot paths.
 //
-// The per-figure benches run the quick-scale experiments so the whole suite
-// completes in minutes; cmd/pprsim runs the full-scale versions.
+// The experiment benches run the quick-scale experiments so the whole
+// suite completes in minutes; cmd/pprsim runs the full-scale versions.
 package ppr
 
 import (
@@ -57,114 +57,32 @@ func benchOpts(i int) experiments.Options {
 	return experiments.Options{Seed: uint64(i%4 + 1), Quick: true}
 }
 
-// ---- One benchmark per table and figure ----
+// ---- One benchmark per registered experiment ----
 
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		curves := experiments.Fig3(benchOpts(i))
-		if len(curves) != 6 {
-			b.Fatal("wrong curve count")
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table2(benchOpts(i))
-		if len(rows) != 5 {
-			b.Fatal("wrong row count")
-		}
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := experiments.Fig8(benchOpts(i))
-		if len(fig.Curves) != 2*len(schemes.All()) {
-			b.Fatal("wrong curve count")
-		}
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig9(benchOpts(i))
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig10(benchOpts(i))
-	}
-}
-
-func BenchmarkFig11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig11(benchOpts(i))
-	}
-}
-
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series := experiments.Fig12(benchOpts(i))
-		if len(series) != 6 {
-			b.Fatal("wrong series count")
-		}
-	}
-}
-
-func BenchmarkFig13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig13(benchOpts(i))
-		if len(res.Packet1) == 0 {
-			b.Fatal("empty timeline")
-		}
-	}
-}
-
-func BenchmarkFig14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig14(benchOpts(i))
-	}
-}
-
-func BenchmarkFig15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig15(benchOpts(i))
-	}
-}
-
-func BenchmarkFig16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig16(benchOpts(i))
-		if res.Transfers == 0 {
-			b.Fatal("no transfers")
-		}
-	}
-}
-
-// BenchmarkNetsimFig17Quick exercises the closed-loop network simulator
-// end to end: every (sender pair, link layer) cell runs a full discrete-
-// event simulation with PP-ARQ, frag-CRC and packet-CRC state machines
-// contending for the shared channel.
-func BenchmarkNetsimFig17Quick(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig17(benchOpts(i))
-		if len(res.Curves) == 0 || res.Curves[0].Transfers == 0 {
-			b.Fatal("no closed-loop transfers")
-		}
-	}
-}
-
-// BenchmarkMesh regenerates the city-scale mesh experiment: 1000 nodes in
-// 100 mutually inaudible cells, 500 closed-loop flows per link layer, run
-// by the spatially sharded engine.
-func BenchmarkMesh(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Mesh(benchOpts(i))
-		if res.Domains != 100 || len(res.Layers) == 0 || res.Layers[0].Transfers == 0 {
-			b.Fatal("mesh run degenerate")
-		}
+// BenchmarkExperiment regenerates every registered experiment (every table
+// and figure, plus the extensions past the paper) through its registry
+// Run, one sub-benchmark per name, sharing the process trace cache across
+// iterations and experiments. The shape of each artifact is asserted by
+// the experiment and dataset-parity tests; here a run only has to succeed
+// and produce data.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ds, err := e.Run(context.Background(), benchOpts(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(ds.Series) == 0 {
+					b.Fatal("empty dataset")
+				}
+				for _, s := range ds.Series {
+					if len(s.Points) == 0 && len(s.Bands) == 0 {
+						b.Fatalf("series %q is empty", s.Label)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -201,15 +119,6 @@ func BenchmarkMeshScaling(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkSummary(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Summary(benchOpts(i))
-		if len(rows) == 0 {
-			b.Fatal("no summary rows")
-		}
 	}
 }
 

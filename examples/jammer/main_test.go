@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,33 +29,71 @@ func quickSim(t *testing.T, sc ppr.Scenario) ([]*ppr.Transmission, []ppr.Outcome
 	return ppr.RunSim(cfg, []ppr.SimVariant{{Name: "postamble", UsePostamble: true}})
 }
 
+// legacyGolden holds the SHA-256 of quickSim's schedule and receive
+// outcomes under the legacy jammer-model constructions this example ran
+// before it moved to the jam strategy registry, recorded at commit c5bca66.
+var legacyGolden = map[string]string{
+	"periodic": "92a7e6dd88194e535fa2ce45af744863a4da67d2011ab4bbfabc1dbde3aecd6f",
+	"reactive": "075eb18afd67e5696f2cdeb6455f5b80c057066c9bbb902d36664bc786a5bee6",
+}
+
+// simDigest hashes a schedule and its receive outcomes field by field.
+func simDigest(txs []*ppr.Transmission, outs []ppr.Outcome) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	bit := func(v bool) int64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	for _, tx := range txs {
+		hdr := tx.Frame.Hdr
+		put(int64(tx.ID))
+		put(int64(tx.Src))
+		put(tx.StartChip)
+		put(int64(hdr.Length)<<48 | int64(hdr.Dst)<<32 | int64(hdr.Src)<<16 | int64(hdr.Seq))
+		h.Write(tx.Frame.Payload)
+		h.Write(tx.TruthSyms)
+	}
+	for _, o := range outs {
+		put(int64(o.TxID))
+		put(int64(o.Src))
+		put(int64(o.Receiver))
+		put(int64(o.Variant))
+		put(bit(o.Acquired))
+		put(int64(o.Kind))
+		put(bit(o.CRCOK))
+		put(int64(o.MissingPrefix))
+		put(int64(len(o.Decisions)))
+		for _, d := range o.Decisions {
+			put(int64(d.Symbol))
+			put(int64(math.Float64bits(d.Hint)))
+		}
+		h.Write(o.TruthSyms)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestRegistryJammersMatchLegacy pins the port: the registry-built jam
 // scenarios the example now runs drive the simulation bit-identically to
-// the legacy jammer-model constructions the example used before.
+// the legacy jammer-model constructions the example used before, whose
+// output is frozen in legacyGolden.
 func TestRegistryJammersMatchLegacy(t *testing.T) {
-	cases := []struct {
-		strategy string
-		legacy   ppr.JammerModel
-	}{
-		{"periodic", ppr.DefaultJammerModel()},
-		{"reactive", ppr.DefaultReactiveJammerModel()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.strategy, func(t *testing.T) {
-			reg, err := ppr.ScenarioByName("jam-" + tc.strategy)
+	for _, strategy := range []string{"periodic", "reactive"} {
+		t.Run(strategy, func(t *testing.T) {
+			reg, err := ppr.ScenarioByName("jam-" + strategy)
 			if err != nil {
-				t.Fatalf("ScenarioByName(jam-%s): %v", tc.strategy, err)
+				t.Fatalf("ScenarioByName(jam-%s): %v", strategy, err)
 			}
-			legacy := ppr.WithJammerScenario(ppr.PoissonScenario(), tc.legacy)
-
-			wantTxs, wantOuts := quickSim(t, legacy)
-			gotTxs, gotOuts := quickSim(t, reg)
-			if !reflect.DeepEqual(wantTxs, gotTxs) {
-				t.Errorf("registry scenario jam-%s schedules %d transmissions, legacy %d (or contents differ)",
-					tc.strategy, len(gotTxs), len(wantTxs))
-			}
-			if !reflect.DeepEqual(wantOuts, gotOuts) {
-				t.Errorf("registry scenario jam-%s receive outcomes differ from the legacy construction", tc.strategy)
+			txs, outs := quickSim(t, reg)
+			if got, want := simDigest(txs, outs), legacyGolden[strategy]; got != want {
+				t.Errorf("registry scenario jam-%s: %d transmissions, %d outcomes, digest %s; legacy digest %s",
+					strategy, len(txs), len(outs), got, want)
 			}
 		})
 	}

@@ -87,8 +87,8 @@ func fig17Workload(o Options) (jammers []netsim.JammerNode, traffic scenario.Tra
 	}
 	for i := 0; i < testbed.NumSenders; i++ {
 		node := sc.Node(i, testbed.NumSenders)
-		if node.IgnoreCarrierSense || node.Reactive {
-			jammers = append(jammers, netsim.JammerNode{Sender: i, Node: node})
+		if node.Jam != nil {
+			jammers = append(jammers, netsim.JammerNode{Sender: i, Strategy: node.Jam, BurstBytes: node.BurstBytes})
 			continue
 		}
 		if traffic == nil && node.Model != nil && node.Model.Name() != (scenario.PoissonModel{}).Name() {

@@ -7,7 +7,6 @@ import (
 	"ppr/internal/jam"
 	"ppr/internal/netsim"
 	"ppr/internal/radio"
-	"ppr/internal/scenario"
 	"ppr/internal/topo"
 )
 
@@ -20,10 +19,9 @@ import (
 // the SoftPHY-driven countermeasure layers hopping, falling back and
 // hardening their feedback under fire.
 
-// resiliencePanel is the default adversary panel: the two legacy timelines
-// re-expressed as registered strategies, plus the three adaptive
-// strategies the tentpole adds (preamble striker, time × frequency sweep,
-// timing learner).
+// resiliencePanel is the default adversary panel: the periodic and
+// reactive jammers, plus three adaptive strategies (preamble striker,
+// time × frequency sweep, timing learner).
 var resiliencePanel = []string{"periodic", "reactive", "preamble", "sweep", "learner"}
 
 // resiliencePowers are the jammer link-budget offsets swept, in dB: the
@@ -225,7 +223,6 @@ func resilienceCtx(ctx context.Context, o Options) (ResilienceResult, error) {
 					Strategy:      strat,
 					BurstBytes:    resilienceBurstBytes,
 					PowerDeltaDBm: resiliencePowers[c.power],
-					Node:          scenario.Node{IgnoreCarrierSense: true},
 				}},
 			}
 			r, err := netsim.RunContext(ctx, cfg)

@@ -47,9 +47,9 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 // TestPeriodicMatchesLegacyDrawOrder pins the clock emitter's RNG draw
-// order to the legacy scenario.jammerArrivals contract: one Float64 for
+// order to that of the arrival-model jammer it replaced: one Float64 for
 // the phase at construction, one Float64 per attempt iff jitter > 0. The
-// scenario-level bit parity tests build on this.
+// golden schedule and closed-loop digests build on this.
 func TestPeriodicMatchesLegacyDrawOrder(t *testing.T) {
 	const seed, period, jitter = 77, 50_000, 8_000
 	em := Periodic{PeriodChips: period, JitterChips: jitter}.

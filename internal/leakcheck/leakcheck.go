@@ -31,6 +31,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,10 +129,37 @@ type Snapshot struct {
 // labelSeq makes every Take's label unique.
 var labelSeq atomic.Int64
 
+// finalizerStarted guards startFinalizer, which Take runs once before the
+// first profile.
+var finalizerStarted sync.Once
+
+// startFinalizer makes sure the runtime's finalizer goroutine has run. The
+// runtime creates that goroutine lazily and only recognises it as the
+// finalizer goroutine once it first runs. In between, Go 1.24's concurrent
+// goroutine profile leaves it out of the goroutine count but still records
+// it, and the slot it takes drops a live goroutine from the profile: under
+// CPU contention this package's own tests saw their deliberate leaks
+// vanish. Once one finalizer has run, the profile is complete for the rest
+// of the process. The wait is bounded; a runtime that never runs the
+// finalizer only keeps the old behaviour.
+func startFinalizer() {
+	ran := make(chan struct{})
+	runtime.SetFinalizer(&struct{ p *byte }{}, func(any) { close(ran) })
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		select {
+		case <-ran:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
 // Take tags the calling goroutine with a fresh label — replacing any pprof
 // labels it carried — so every goroutine it spawns from now on is
 // attributed to the returned Snapshot.
 func Take() Snapshot {
+	finalizerStarted.Do(startFinalizer)
 	id := strconv.FormatInt(labelSeq.Add(1), 10)
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(labelKey, id)))
 	return Snapshot{pair: fmt.Sprintf("%q:%q", labelKey, id)}

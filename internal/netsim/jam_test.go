@@ -1,7 +1,13 @@
 package netsim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ppr/internal/frame"
@@ -13,69 +19,106 @@ import (
 	"ppr/internal/topo"
 )
 
-// TestNetsimStrategyParityWithLegacyJammers is the closed-loop acceptance
-// gate for the strategy re-expression: a JammerNode driven by the registry
-// periodic/reactive strategy must reproduce the legacy arrival-model
-// jammer's Result bit for bit — same bursts, same payload draws, same
-// delivery accounting.
-func TestNetsimStrategyParityWithLegacyJammers(t *testing.T) {
-	tb := bed()
-	cases := []struct {
-		name     string
-		legacy   JammerNode
-		strategy JammerNode
-	}{
-		{
-			name: "periodic",
-			legacy: JammerNode{Sender: 9, Node: scenario.Node{
-				Model:              scenario.DefaultJammer(),
-				PacketBytes:        scenario.DefaultJammer().BurstBytes,
-				IgnoreCarrierSense: true,
-			}},
-			strategy: JammerNode{Sender: 9,
-				Strategy:   mustStrategy(t, "periodic"),
-				BurstBytes: scenario.DefaultJammer().BurstBytes,
-				Node:       scenario.Node{IgnoreCarrierSense: true},
-			},
-		},
-		{
-			name: "reactive",
-			legacy: JammerNode{Sender: 9, Node: scenario.Node{
-				Model:              scenario.DefaultReactiveJammer(),
-				PacketBytes:        scenario.DefaultReactiveJammer().BurstBytes,
-				IgnoreCarrierSense: true,
-				Reactive:           true,
-			}},
-			strategy: JammerNode{Sender: 9,
-				Strategy:   mustStrategy(t, "reactive"),
-				BurstBytes: scenario.DefaultReactiveJammer().BurstBytes,
-				Node:       scenario.Node{IgnoreCarrierSense: true},
-			},
-		},
+// netsimJamGolden holds the SHA-256 of the closed-loop Result under every
+// registered jam strategy (baseConfig plus a flow from sender 1, the
+// target of "targeted", with the strategy's jam-<name> scenario node on
+// sender 9), keyed "<strategy>/<seed>". Recorded at commit c5bca66,
+// where periodic and reactive were also checked bit-identical to the
+// arrival-model jammers they replaced; the digests now stand in for that
+// reference.
+var netsimJamGolden = map[string]string{
+	"duty/1":      "89d07a40391db9cb58fd6244019aab1277a8f610de6a9920d05a9ad55c3d7968",
+	"duty/7":      "72e93af616616af1cd9b5fe186a43a0e05d629f657ec64be58f6ffc3733660a1",
+	"duty/42":     "fae47a13953d753259fdbba9aa2af83dae548e803303eb43a10ebe189eefc9b6",
+	"learner/1":   "2f4d4d6dad99e99f176ae79603c4bf357c260146dc20f16f6cb172a7659fb959",
+	"learner/7":   "4e17d7cb55e807277b173b567f0926da4b231c80ca67e5019000d9f31c36c168",
+	"learner/42":  "fe00cadccdc9a69c36ba9dea12b46ea73fd1e7905613b60349b6ced700ace27d",
+	"markov/1":    "dffc46eefaf3fcdf17d2b1e4b20d844fd6f9d27662663214c342b1e0daafd20e",
+	"markov/7":    "f3f9ad02898c0f8b095d1d6b6655ecbe601f04b8b4aa4bf2ed46a5af962967d3",
+	"markov/42":   "8d13daf5e9ef29ec54338d52834df19977fbc696b04330d9cfc4d961b02ba14c",
+	"periodic/1":  "7bb1b4dfebf717d25fa3225be2188ab16d47506d505360c4b426822811531211",
+	"periodic/7":  "d34a710052e3afd4a17fd106ad2b1328af9a7a9ed4c366fd7d9af2ec35102342",
+	"periodic/42": "5d35dccd681367c3f08bd57e3a636ebc8d2e2004972e41c6f5bf53684659d738",
+	"preamble/1":  "afb5f6f0d62962a20a573f2e52f190503c70e0377a4fc40ef17a0f8abc99d7bd",
+	"preamble/7":  "1d8ee6e495d78b97d8d647c0d49082c92ef8de55493ab4a1d06142e297341f7f",
+	"preamble/42": "aadc5757c89ac8a14fac6c4c506ca5f988d325c8408ccaeee7e2873c503f71ca",
+	"reactive/1":  "af6d6b8d045214a664e7025c08ac62e291fb70c5ca174e87a34bf0c6b6d0ea66",
+	"reactive/7":  "eaf6cf8426bee93741f6f1b77d31b5052e6d458b51569115baa261f8762dd17b",
+	"reactive/42": "58f4097a19e75d1f6ee41320396c0a3a0ea784d992e06d0d1add79512e61a4ca",
+	"sweep/1":     "c8470b9b727f281cbab01666732e5cb8c968eed9b1f691a314d54b3d6af13b92",
+	"sweep/7":     "0b9e355f43345c634ff336535e4c6231a44ecc92dcb51d46f754ee94954a32ca",
+	"sweep/42":    "e99089b02aea53b825a98b0397d795cf228ca04b00a5b6e4927d5fbfc9378755",
+	"targeted/1":  "230268d25da41967fc87d5dff27f7fc24ba364115973285e57b0b1512edfdd7a",
+	"targeted/7":  "98ce5e3f48137e62c8f62bf009e3b45ac85147e55a57455151ec96b6db42b02b",
+	"targeted/42": "b3f27faf5fc23037047824abf69f8c038bb72d7508085dd3e7ae9308a99c1a47",
+}
+
+// resultDigest hashes a Result field by field.
+func resultDigest(r Result) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
 	}
-	for _, tc := range cases {
+	for _, f := range r.Flows {
+		put(int64(f.Flow.Sender))
+		put(int64(f.Flow.Receiver))
+		put(int64(f.DeliveredAppBytes))
+		put(int64(f.Transfers))
+		put(int64(f.Failures))
+		a := f.Air
+		for _, v := range []int{a.DataAirBytes, a.RetxAirBytes, a.FeedbackAirBytes, a.Rounds, a.FullResends, a.Misses} {
+			put(int64(v))
+		}
+	}
+	put(int64(math.Float64bits(r.DurationSec)))
+	put(r.BusyChips)
+	put(r.TxChips)
+	put(int64(r.JamFrames))
+	put(r.JamChips)
+	put(int64(r.Domains))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestNetsimJamGoldenDigests pins every registered strategy's closed-loop
+// behaviour: its draw order, burst size and channel observations all reach
+// the Result, so any change to one shows up as a digest mismatch. On
+// mismatch the test logs the full table to paste back after a deliberate
+// timeline change.
+func TestNetsimJamGoldenDigests(t *testing.T) {
+	tb := bed()
+	var table []string
+	for _, name := range jam.Names() {
+		sc, err := scenario.ByName("jam-" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := sc.Node(0, 1)
 		for _, seed := range []uint64{1, 7, 42} {
-			cfgL := baseConfig(tb)
-			cfgL.Seed = seed
-			cfgL.Jammers = []JammerNode{tc.legacy}
-			cfgS := cfgL
-			cfgS.Jammers = []JammerNode{tc.strategy}
-			resL, err := Run(cfgL)
+			cfg := baseConfig(tb)
+			cfg.Seed = seed
+			cfg.Flows = append(cfg.Flows, bestFlow(tb, 1))
+			cfg.Jammers = []JammerNode{{Sender: 9, Strategy: node.Jam, BurstBytes: node.BurstBytes}}
+			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resS, err := Run(cfgS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resL.JamFrames == 0 {
-				t.Fatalf("%s seed %d: legacy jammer never fired", tc.name, seed)
-			}
-			if !reflect.DeepEqual(resL, resS) {
-				t.Errorf("%s seed %d: strategy result diverges from legacy:\nlegacy   %+v\nstrategy %+v",
-					tc.name, seed, resL, resS)
+			key := fmt.Sprintf("%s/%d", name, seed)
+			got := resultDigest(res)
+			table = append(table, fmt.Sprintf("\t%q: %q,", key, got))
+			if want, ok := netsimJamGolden[key]; !ok {
+				t.Errorf("%s: no golden digest recorded", key)
+			} else if got != want {
+				t.Errorf("%s: result digest %s, want %s (%+v)", key, got, want, res)
 			}
 		}
+	}
+	if len(table) != len(netsimJamGolden) {
+		t.Errorf("%d strategy/seed pairs, %d golden digests", len(table), len(netsimJamGolden))
+	}
+	if t.Failed() {
+		t.Logf("current digests:\n%s", strings.Join(table, "\n"))
 	}
 }
 
@@ -132,10 +175,8 @@ func TestNetsimJamWorkerInvariance(t *testing.T) {
 			Seed:         11,
 			NumChannels:  2,
 			Jammers: []JammerNode{
-				{Sender: 0, Strategy: mustStrategy(t, name), BurstBytes: 48,
-					Node: scenario.Node{IgnoreCarrierSense: true}},
-				{Sender: 3, Strategy: mustStrategy(t, name), BurstBytes: 48,
-					Node: scenario.Node{IgnoreCarrierSense: true}},
+				{Sender: 0, Strategy: mustStrategy(t, name), BurstBytes: 48},
+				{Sender: 3, Strategy: mustStrategy(t, name), BurstBytes: 48},
 			},
 		}
 		run := func(workers int, single bool) Result {
@@ -188,6 +229,58 @@ func (e *fixedChannelEmitter) Poll(jam.Observation) jam.Burst {
 	return jam.Burst{Fire: true, Channel: e.ch}
 }
 
+// oneBigBurst is a test strategy: fire every period, overriding the burst
+// size to big on the first burst only.
+type oneBigBurst struct {
+	period int64
+	big    int
+}
+
+func (o oneBigBurst) Name() string { return "one-big-burst" }
+
+func (o oneBigBurst) Emitter(jam.Params, *stats.RNG) jam.Emitter {
+	return &oneBigBurstEmitter{spec: o}
+}
+
+type oneBigBurstEmitter struct {
+	spec  oneBigBurst
+	next  int64
+	fired bool
+}
+
+func (e *oneBigBurstEmitter) NextPoll() int64 {
+	t := e.next
+	e.next += e.spec.period
+	return t
+}
+
+func (e *oneBigBurstEmitter) Poll(jam.Observation) jam.Burst {
+	if e.fired {
+		return jam.Burst{Fire: true}
+	}
+	e.fired = true
+	return jam.Burst{Fire: true, Bytes: e.spec.big}
+}
+
+// TestJamBurstOverrideIsPerBurst: a burst's Bytes sizes that burst only;
+// later bursts that leave it 0 go back to the jammer's BurstBytes.
+func TestJamBurstOverrideIsPerBurst(t *testing.T) {
+	cfg := baseConfig(bed())
+	cfg.Jammers = []JammerNode{{Sender: 9, Strategy: oneBigBurst{period: 40_000, big: 200}, BurstBytes: 40}}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	air := func(n int) int64 { return int64(frame.New(0xffff, 9, 0, make([]byte, n)).AirChips().Len()) }
+	if res.JamFrames < 2 {
+		t.Fatalf("%d jam frames, want several", res.JamFrames)
+	}
+	if want := air(200) + int64(res.JamFrames-1)*air(40); res.JamChips != want {
+		t.Errorf("%d jam frames took %d chips, want %d (one 200-byte burst, the rest 40 bytes)",
+			res.JamFrames, res.JamChips, want)
+	}
+}
+
 // TestChannelsAreOrthogonal pins the channel model: a jammer saturating
 // channel 1 leaves flows on channel 0 with exactly the accounting of a
 // jammer-free run, while the same jammer on channel 0 degrades them.
@@ -208,7 +301,6 @@ func TestChannelsAreOrthogonal(t *testing.T) {
 		return []JammerNode{{Sender: 9,
 			Strategy:   fixedChannelJam{period: 12_000, ch: ch},
 			BurstBytes: 120,
-			Node:       scenario.Node{IgnoreCarrierSense: true},
 		}}
 	}
 	clean := mk(nil)
@@ -241,7 +333,6 @@ func TestPowerDeltaWidensAudibility(t *testing.T) {
 		cfg.Jammers = []JammerNode{{Sender: 9,
 			Strategy:      mustStrategy(t, "periodic"),
 			PowerDeltaDBm: delta,
-			Node:          scenario.Node{IgnoreCarrierSense: true},
 		}}
 		top, flows, jams, err := normalize(cfg)
 		if err != nil {
@@ -292,7 +383,6 @@ func TestJamDecisionZeroAllocs(t *testing.T) {
 	cfg.NumChannels = 3
 	cfg.Jammers = []JammerNode{{Sender: 9,
 		Strategy: mustStrategy(t, "learner"),
-		Node:     scenario.Node{IgnoreCarrierSense: true},
 	}}
 	top, flows, jams, err := normalize(cfg)
 	if err != nil {
@@ -316,19 +406,21 @@ func TestJamDecisionZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestJammerValidation covers the new configuration errors.
+// TestJammerValidation covers the jammer configuration errors, next to a
+// valid strategy jammer that fires.
 func TestJammerValidation(t *testing.T) {
 	tb := bed()
 	ok := baseConfig(tb)
-	strat := fixedChannelJam{period: 10_000, ch: 0}
+	ok.Jammers = []JammerNode{{Sender: 9, Strategy: fixedChannelJam{period: 10_000, ch: 0}, BurstBytes: 60}}
+	res, err := Run(ok)
+	if err != nil {
+		t.Fatalf("strategy jammer rejected: %v", err)
+	}
+	if res.JamFrames == 0 {
+		t.Error("strategy jammer never fired")
+	}
 	cases := map[string]Config{
-		"strategy and model": func() Config {
-			c := ok
-			c.Jammers = []JammerNode{{Sender: 9, Strategy: strat,
-				Node: scenario.Node{Model: scenario.DefaultJammer()}}}
-			return c
-		}(),
-		"neither strategy nor model": func() Config {
+		"no strategy": func() Config {
 			c := ok
 			c.Jammers = []JammerNode{{Sender: 9}}
 			return c
@@ -340,16 +432,5 @@ func TestJammerValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
-	}
-	// Node.Jam counts as a strategy: a scenario overlay node drives a jammer.
-	viaNode := ok
-	viaNode.Jammers = []JammerNode{{Sender: 9,
-		Node: scenario.Node{Jam: strat, PacketBytes: 60, IgnoreCarrierSense: true}}}
-	res, err := Run(viaNode)
-	if err != nil {
-		t.Fatalf("Node.Jam strategy rejected: %v", err)
-	}
-	if res.JamFrames == 0 {
-		t.Error("Node.Jam strategy never fired")
 	}
 }

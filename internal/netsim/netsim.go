@@ -53,10 +53,9 @@
 // merged event queue (Config.SingleQueue), which exists as the reference
 // engine for that equivalence.
 //
-// Jammer nodes from internal/scenario integrate as pure event sources: their
-// arrival models fire jam frames onto the timeline (reactive ones sense
-// first), which interfere with — and trigger recovery in — every flow in
-// their domain.
+// Jammer nodes integrate as pure event sources: their internal/jam
+// strategies poll the channel and fire jam frames onto the timeline, which
+// interfere with — and trigger recovery in — every flow in their domain.
 package netsim
 
 import (
@@ -102,25 +101,19 @@ type Flow struct {
 }
 
 // JammerNode overlays an adversarial event source on the shared channel: a
-// node position transmitting jam bursts either under a legacy scenario
-// traffic model or under a composable internal/jam strategy.
+// node position transmitting jam bursts under a composable internal/jam
+// strategy.
 type JammerNode struct {
 	// Sender is the node the jammer transmits from: a testbed sender index,
 	// or a global node ID on a Topology. It must not also carry a Flow.
 	Sender int
-	// Node is the legacy scenario behaviour: Model generates jam arrivals,
-	// PacketBytes sizes the bursts, IgnoreCarrierSense/Reactive set the MAC
-	// discipline. Node.Jam, when set, counts as Strategy (scenario overlays
-	// carry strategies there).
-	Node scenario.Node
-	// Strategy, when set, drives the jammer through the composable adversary
-	// model: the engine polls the strategy's emitter at the instants it asks
-	// for, hands it a per-channel busy observation plus the audible active
-	// transmissions, and commits a burst when it fires. Exactly one of
-	// Strategy (or Node.Jam) and Node.Model must be set.
+	// Strategy drives the jammer: the engine polls the strategy's emitter at
+	// the instants it asks for, hands it a per-channel busy observation plus
+	// the audible active transmissions, and commits a burst when it fires.
+	// Jammers never defer to carrier sense. Required.
 	Strategy jam.Strategy
-	// BurstBytes sizes strategy bursts; 0 falls back to Node.PacketBytes,
-	// then to 40 bytes.
+	// BurstBytes sizes the bursts (a burst may override it); 0 means 40
+	// bytes.
 	BurstBytes int
 	// PowerDeltaDBm shifts this jammer's link budget toward every other node
 	// — a stronger (or weaker) adversary without touching the topology.
@@ -460,8 +453,8 @@ func normalize(cfg Config) (Topology, []flowSpec, []jamSpec, error) {
 		}
 		jammed[node] = true
 		sender[node] = true
-		if (jamStrategy(j) != nil) == (j.Node.Model != nil) {
-			return nil, nil, nil, fmt.Errorf("netsim: jammer node %d must set exactly one of a jam strategy and a traffic model", node)
+		if j.Strategy == nil {
+			return nil, nil, nil, fmt.Errorf("netsim: jammer node %d has no jam strategy", node)
 		}
 		jams[i] = jamSpec{id: i, node: node, spec: j}
 	}
@@ -673,22 +666,10 @@ func layerConfig(cfg Config) LinkConfig {
 	}
 }
 
-// jamStrategy resolves a jammer's strategy: the explicit field, or the one a
-// scenario overlay put on its node.
-func jamStrategy(j JammerNode) jam.Strategy {
-	if j.Strategy != nil {
-		return j.Strategy
-	}
-	return j.Node.Jam
-}
-
 // jamBytes returns a jammer's burst payload size.
 func jamBytes(j JammerNode) int {
 	if j.BurstBytes > 0 {
 		return j.BurstBytes
-	}
-	if j.Node.PacketBytes > 0 {
-		return j.Node.PacketBytes
 	}
 	return 40
 }

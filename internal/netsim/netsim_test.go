@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ppr/internal/jam"
 	"ppr/internal/radio"
 	"ppr/internal/scenario"
 	"ppr/internal/testbed"
@@ -137,18 +138,15 @@ func TestJammerDegradesDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jam := clean
-	// A heavy periodic jammer colocated near the flow's receiver, ignoring
-	// carrier sense.
-	jam.Jammers = []JammerNode{{
-		Sender: 9,
-		Node: scenario.Node{
-			Model:              scenario.Jammer{PeriodChips: 12_000, BurstBytes: 120, JitterChips: 1_000},
-			PacketBytes:        120,
-			IgnoreCarrierSense: true,
-		},
+	jammed := clean
+	// A heavy periodic jammer colocated near the flow's receiver (jammers
+	// ignore carrier sense).
+	jammed.Jammers = []JammerNode{{
+		Sender:     9,
+		Strategy:   jam.Periodic{PeriodChips: 12_000, JitterChips: 1_000},
+		BurstBytes: 120,
 	}}
-	jamRes, err := Run(jam)
+	jamRes, err := Run(jammed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +167,9 @@ func TestReactiveJammerOnlyFiresIntoTraffic(t *testing.T) {
 	tb := bed()
 	cfg := baseConfig(tb)
 	cfg.Jammers = []JammerNode{{
-		Sender: 9,
-		Node: scenario.Node{
-			Model:              scenario.DefaultReactiveJammer(),
-			PacketBytes:        scenario.DefaultReactiveJammer().BurstBytes,
-			IgnoreCarrierSense: true,
-			Reactive:           true,
-		},
+		Sender:     9,
+		Strategy:   jam.Reactive{PeriodChips: 12_000, JitterChips: 2_000},
+		BurstBytes: 60,
 	}}
 	res, err := Run(cfg)
 	if err != nil {
@@ -201,7 +195,7 @@ func TestConfigValidation(t *testing.T) {
 		{Testbed: tb, Flows: []Flow{{30, 0}}, PacketBytes: 100, DurationSec: 1},        // out of range
 		{Testbed: tb, Flows: []Flow{{0, 0}}, PacketBytes: 100, DurationSec: 1, LinkLayer: "nope"},
 		{Testbed: tb, Flows: []Flow{{0, 0}}, PacketBytes: 100, DurationSec: 1,
-			Jammers: []JammerNode{{Sender: 0, Node: scenario.Node{Model: scenario.DefaultJammer()}}}}, // jammer on flow sender
+			Jammers: []JammerNode{{Sender: 0, Strategy: jam.Periodic{}}}}, // jammer on flow sender
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -185,16 +185,16 @@ func (l *engineLink) SetChannel(ch int) {
 	l.ch = uint8(ch)
 }
 
-// jamProc is one jammer event source: either a legacy arrival-model jammer
-// (arrivals set) or a strategy emitter (em set).
+// jamProc is one jammer event source: a strategy emitter on the shard's
+// clock.
 type jamProc struct {
 	spec     jamSpec
 	idx      int32 // shard-local index
-	arrivals scenario.Arrivals
 	em       jam.Emitter
 	spanName string
 	rng      *stats.RNG
 	seq      uint16
+	bytes    int    // default burst size; a burst's Bytes overrides it
 	buf      []byte // burst payload buffer, refilled in place
 }
 
@@ -268,41 +268,33 @@ func (s *shard) addFlow(spec flowSpec, maker Maker) {
 	s.flows = append(s.flows, fl)
 }
 
-// addJam binds one jammer event source to the shard. Strategy jammers split
-// their emitter RNG from the same per-node derived stream the legacy path
-// splits its arrival model from, so a strategy that replicates an arrival
-// model's draw order replays its timeline bit for bit.
+// addJam binds one jammer event source to the shard. The emitter's RNG is
+// split from a per-node derived stream, and burst payloads draw from that
+// stream after the split, so a jammer's timeline depends only on its node
+// and the run seed.
 func (s *shard) addJam(spec jamSpec) {
 	jp := &jamProc{
-		spec: spec,
-		idx:  int32(len(s.jams)),
-		rng:  s.rs.base.Derive(uint64(spec.node), tagJammer),
-		buf:  make([]byte, jamBytes(spec.spec)),
+		spec:  spec,
+		idx:   int32(len(s.jams)),
+		rng:   s.rs.base.Derive(uint64(spec.node), tagJammer),
+		bytes: jamBytes(spec.spec),
 	}
-	if strat := jamStrategy(spec.spec); strat != nil {
-		p := jam.Params{
-			DurationChips: s.rs.endChip,
-			BurstBytes:    jamBytes(spec.spec),
-			ThresholdMW:   s.rs.csma.ThresholdMW,
-			NoiseMW:       s.rs.noiseMW,
-			NumChannels:   s.rs.nCh,
-		}
-		if pos, ok := s.rs.top.(interface{ Position(int) radio.Position }); ok {
-			pt := pos.Position(spec.node)
-			p.X, p.Y, p.HasPos = pt.X, pt.Y, true
-		}
-		jp.em = strat.Emitter(p, jp.rng.Split())
-		jp.spanName = "jam " + strat.Name()
-		if s.obsBusy == nil {
-			s.obsBusy = make([]float64, s.rs.nCh)
-		}
-	} else {
-		jp.spanName = "jam"
-		jp.arrivals = spec.spec.Node.Model.Arrivals(scenario.Params{
-			OfferedBps:    s.rs.cfg.OfferedBps,
-			PacketBytes:   jamBytes(spec.spec),
-			DurationChips: s.rs.endChip,
-		}, jp.rng.Split())
+	jp.buf = make([]byte, jp.bytes)
+	p := jam.Params{
+		DurationChips: s.rs.endChip,
+		BurstBytes:    jp.bytes,
+		ThresholdMW:   s.rs.csma.ThresholdMW,
+		NoiseMW:       s.rs.noiseMW,
+		NumChannels:   s.rs.nCh,
+	}
+	if pos, ok := s.rs.top.(interface{ Position(int) radio.Position }); ok {
+		pt := pos.Position(spec.node)
+		p.X, p.Y, p.HasPos = pt.X, pt.Y, true
+	}
+	jp.em = spec.spec.Strategy.Emitter(p, jp.rng.Split())
+	jp.spanName = "jam " + spec.spec.Strategy.Name()
+	if s.obsBusy == nil {
+		s.obsBusy = make([]float64, s.rs.nCh)
 	}
 	s.jams = append(s.jams, jp)
 }
@@ -399,17 +391,12 @@ func (s *shard) abortFlow(fl *flowProc) {
 	}
 }
 
-// scheduleJam enqueues a jammer's next arrival (or strategy poll), dropping
-// instants past the end of the run. Both sources advance their stream here
-// even when the resulting event is later absorbed, so the jammer's RNG
-// consumption is a pure function of time.
+// scheduleJam enqueues a jammer's next poll, dropping instants past the end
+// of the run. The emitter advances its clock here even when the resulting
+// event is later absorbed, so the jammer's RNG consumption is a pure
+// function of time.
 func (s *shard) scheduleJam(jp *jamProc) {
-	var t int64
-	if jp.em != nil {
-		t = jp.em.NextPoll()
-	} else {
-		t = jp.arrivals.Next()
-	}
+	t := jp.em.NextPoll()
 	if t >= s.rs.endChip {
 		return
 	}
@@ -520,58 +507,32 @@ func (s *shard) processTx(ev event) {
 	s.push(event{t: s.txs[idx].end(), kind: evDeliver, fl: ev.fl, jam: -1, tx: int32(idx)})
 }
 
-// processJam handles a jammer arrival: reactive jammers fire only into a
-// busy channel; none of them back off.
+// processJam handles a jammer poll: the strategy sees what the jammer can
+// sense and decides whether to fire. Jammers never back off.
 func (s *shard) processJam(ev event) {
 	jp := s.jams[ev.jam]
 	t := ev.t
 	s.advancePrune(t)
 	if free := s.rs.nodeFree[jp.spec.node]; free > t {
-		// The jammer's own previous burst is still on the air; this arrival
-		// is absorbed (its poll found the radio busy). scheduleJam still
-		// advances the jammer's stream, so absorbed and fired polls consume
-		// RNG identically.
+		// The jammer's own previous burst is still on the air; this poll is
+		// absorbed. scheduleJam still advances the jammer's clock, so
+		// absorbed and fired polls consume RNG identically.
 		s.scheduleJam(jp)
 		return
 	}
-	var fire bool
-	var ch uint8
-	burstBytes := len(jp.buf)
-	if jp.em != nil {
-		// Strategy path: hand the emitter what it can sense and let it
-		// decide. The observation never draws RNG, and the emitter draws in
-		// observation-independent order, so the decision is reproducible for
-		// any partitioning.
-		b := jp.em.Poll(s.observe(jp.spec.node, t))
-		fire = b.Fire
-		ch = uint8(int(b.Channel) % s.rs.nCh)
+	// The observation never draws RNG, and the emitter draws in
+	// observation-independent order, so the decision is reproducible for
+	// any partitioning.
+	if b := jp.em.Poll(s.observe(jp.spec.node, t)); b.Fire {
+		ch := uint8(int(b.Channel) % s.rs.nCh)
+		burstBytes := jp.bytes
 		if b.Bytes > 0 {
-			burstBytes = b.Bytes
-			if burstBytes > frame.MaxPayload {
-				burstBytes = frame.MaxPayload
-			}
+			burstBytes = min(b.Bytes, frame.MaxPayload)
 		}
-		if fire && !jp.spec.spec.Node.IgnoreCarrierSense && s.rs.csma.Enabled &&
-			s.obsBusy[ch] >= s.rs.csma.ThresholdMW {
-			fire = false // a polite adversary defers like anyone
+		if cap(jp.buf) < burstBytes {
+			jp.buf = make([]byte, burstBytes)
 		}
-	} else {
-		fire = true
-		if jp.spec.spec.Node.Reactive {
-			fire = s.busyMW(jp.spec.node, 0, t) >= s.rs.csma.ThresholdMW
-		} else if !jp.spec.spec.Node.IgnoreCarrierSense && s.rs.csma.Enabled && s.busyMW(jp.spec.node, 0, t) >= s.rs.csma.ThresholdMW {
-			fire = false // a polite "jammer" (hostile workload) defers like anyone
-		}
-	}
-	if fire {
-		if burstBytes != len(jp.buf) {
-			if burstBytes <= cap(jp.buf) {
-				jp.buf = jp.buf[:burstBytes]
-			} else {
-				jp.buf = make([]byte, burstBytes)
-			}
-		}
-		payload := jp.buf
+		payload := jp.buf[:burstBytes]
 		for i := range payload {
 			payload[i] = byte(jp.rng.Intn(256))
 		}

@@ -1,8 +1,8 @@
 // Package scenario pluggably describes *what the network is doing* during a
 // simulated run, separated from how the engine synthesizes and decodes chips.
-// A Scenario assigns each sender a traffic model (and jammer-style behaviour
-// flags); the sim layer asks it for per-sender arrival streams and schedules
-// the result through the MAC.
+// A Scenario assigns each sender a traffic model or a jam strategy; the sim
+// layer asks it for per-sender arrival streams, schedules those through the
+// MAC, and polls the jammers on the shared chip-time line.
 //
 // The seed engine hard-coded the paper's workload — every node a Poisson
 // source at the configured offered load (Sec. 7.2). That remains the default
@@ -10,8 +10,9 @@
 // Richa et al.'s AntiJam) motivates workloads the paper never ran: bursty
 // on/off sources whose collisions cluster in time, and jammer nodes that
 // blast the channel periodically or in reaction to sensed activity. Those
-// ship here as Bursty and Jammer, and new models plug in by implementing
-// TrafficModel and (for named CLI selection) registering a Scenario.
+// ship here as Bursty and as overlays of internal/jam strategies; new
+// traffic models plug in by implementing TrafficModel and (for named CLI
+// selection) registering a Scenario.
 package scenario
 
 import (
@@ -30,8 +31,7 @@ type Params struct {
 	// PacketBytes is the run's link-layer payload size.
 	PacketBytes int
 	// DurationChips is the simulated airtime; models may ignore it (the
-	// scheduler stops pulling arrivals past the end) but jammers use it to
-	// bound periodic timelines.
+	// scheduler stops pulling arrivals past the end).
 	DurationChips int64
 }
 
@@ -51,27 +51,21 @@ type TrafficModel interface {
 	Arrivals(p Params, rng *stats.RNG) Arrivals
 }
 
-// Node is one sender's behaviour under a scenario: its traffic model plus
-// the MAC-level flags that distinguish well-behaved sources from jammers.
+// Node is one sender's behaviour under a scenario: a traffic model for a
+// well-behaved source, or a jam strategy for an adversary.
 type Node struct {
-	// Model generates the sender's arrivals.
+	// Model generates the sender's arrivals; a source defers to carrier
+	// sense like any CSMA node.
 	Model TrafficModel
-	// PacketBytes overrides the run's payload size when > 0 (jam bursts are
-	// sized by the jammer, not the workload).
-	PacketBytes int
-	// IgnoreCarrierSense marks nodes that transmit regardless of channel
-	// state. Jammers do not defer.
-	IgnoreCarrierSense bool
-	// Reactive marks a jammer that fires only when it senses energy above
-	// the carrier-sense threshold at the arrival instant: its arrival stream
-	// is a dense sensing clock, and the scheduler drops arrivals that find
-	// the channel idle.
-	Reactive bool
 	// Jam, when non-nil, makes this node an adversary driven by the
 	// composable strategy model (internal/jam) instead of a TrafficModel:
 	// the scheduler polls the strategy's emitter on the shared chip-time
-	// line and transmits the bursts it fires. Model is ignored.
+	// line and transmits the bursts it fires, without carrier sense.
+	// Model is ignored.
 	Jam jam.Strategy
+	// BurstBytes sizes the jam bursts of a Jam node (a burst may override
+	// it); sources send the run's payload size.
+	BurstBytes int
 }
 
 // Scenario assigns behaviour to every sender in a deployment.
@@ -173,71 +167,6 @@ func (a *burstyArrivals) Next() int64 {
 	return int64(a.t)
 }
 
-// ---- Jammer ----
-
-// Jammer is an adversarial node that transmits jam frames on a clock (or,
-// with Reactive, whenever it senses channel activity) with no regard for the
-// offered-load configuration or carrier sense.
-type Jammer struct {
-	// PeriodChips is the interval between jam attempts. For a reactive
-	// jammer this is the sensing clock, so it should be comparable to a
-	// frame's air time to hit ongoing transmissions.
-	PeriodChips int64
-	// BurstBytes is the jam frame payload size.
-	BurstBytes int
-	// JitterChips uniformly jitters each attempt to avoid pathological
-	// phase-locking with periodic victims.
-	JitterChips int64
-	// Reactive switches from the periodic clock to sense-then-jam.
-	Reactive bool
-}
-
-// DefaultJammer returns a periodic jammer: a 40-byte burst roughly every
-// 25 ms (50k chips), ~10% duty cycle against full-size frames.
-func DefaultJammer() Jammer {
-	return Jammer{PeriodChips: 50_000, BurstBytes: 40, JitterChips: 8_000}
-}
-
-// DefaultReactiveJammer returns a sense-then-jam jammer polling every ~6 ms,
-// under half a 1500-byte frame's air time, so ongoing packets are caught
-// mid-flight.
-func DefaultReactiveJammer() Jammer {
-	return Jammer{PeriodChips: 12_000, BurstBytes: 60, JitterChips: 2_000, Reactive: true}
-}
-
-// Name implements TrafficModel.
-func (j Jammer) Name() string {
-	if j.Reactive {
-		return "reactive-jammer"
-	}
-	return "periodic-jammer"
-}
-
-// Arrivals implements TrafficModel.
-func (j Jammer) Arrivals(p Params, rng *stats.RNG) Arrivals {
-	period := j.PeriodChips
-	if period <= 0 {
-		period = 50_000
-	}
-	return &jammerArrivals{rng: rng, period: period, jitter: j.JitterChips,
-		next: int64(rng.Float64() * float64(period))}
-}
-
-type jammerArrivals struct {
-	rng            *stats.RNG
-	period, jitter int64
-	next           int64
-}
-
-func (a *jammerArrivals) Next() int64 {
-	t := a.next
-	if a.jitter > 0 {
-		t += int64(a.rng.Float64() * float64(a.jitter))
-	}
-	a.next += a.period
-	return t
-}
-
 // ---- Scenario implementations ----
 
 // uniform applies one Node template to every sender.
@@ -261,35 +190,8 @@ func BurstyTraffic() Scenario {
 	return uniform{name: "bursty", node: Node{Model: DefaultBursty()}}
 }
 
-// withJammer overlays a jammer on sender 0 of a base scenario.
-type withJammer struct {
-	name   string
-	base   Scenario
-	jammer Jammer
-}
-
-func (w withJammer) Name() string { return w.name }
-
-func (w withJammer) Node(i, numSenders int) Node {
-	if i == 0 {
-		return Node{
-			Model:              w.jammer,
-			PacketBytes:        w.jammer.BurstBytes,
-			IgnoreCarrierSense: true,
-			Reactive:           w.jammer.Reactive,
-		}
-	}
-	return w.base.Node(i, numSenders)
-}
-
-// WithJammer overlays the given jammer on sender 0 of base; the remaining
-// senders keep base's behaviour.
-func WithJammer(base Scenario, j Jammer) Scenario {
-	return withJammer{name: j.Name(), base: base, jammer: j}
-}
-
 // withJamStrategy overlays a jam.Strategy adversary on sender 0 of a base
-// scenario — the strategy-model counterpart of withJammer.
+// scenario.
 type withJamStrategy struct {
 	name       string
 	base       Scenario
@@ -301,11 +203,7 @@ func (w withJamStrategy) Name() string { return w.name }
 
 func (w withJamStrategy) Node(i, numSenders int) Node {
 	if i == 0 {
-		return Node{
-			Jam:                w.strat,
-			PacketBytes:        w.burstBytes,
-			IgnoreCarrierSense: true,
-		}
+		return Node{Jam: w.strat, BurstBytes: w.burstBytes}
 	}
 	return w.base.Node(i, numSenders)
 }
@@ -315,7 +213,7 @@ func (w withJamStrategy) Node(i, numSenders int) Node {
 // senders keep base's behaviour. The scenario is listed under name.
 func WithJamStrategy(name string, base Scenario, strat jam.Strategy, burstBytes int) Scenario {
 	if burstBytes <= 0 {
-		burstBytes = 40
+		burstBytes = defaultBurstBytes
 	}
 	return withJamStrategy{name: name, base: base, strat: strat, burstBytes: burstBytes}
 }
@@ -330,19 +228,26 @@ func mustJam(name string) jam.Strategy {
 	return s
 }
 
+// Jam burst sizes: 40 bytes per attempt by default, 60 bytes for the
+// reactive jammer so each sensed frame takes a longer hit.
+const (
+	defaultBurstBytes  = 40
+	reactiveBurstBytes = 60
+)
+
 // PeriodicJammer returns Poisson traffic with sender 0 replaced by the
-// default periodic jammer, expressed through the jam strategy registry.
-// The timeline is bit-identical to the legacy WithJammer(Poisson(),
-// DefaultJammer()) construction — parity-tested in internal/sim.
+// registered periodic jam strategy: a 40-byte burst roughly every 25 ms
+// (50k chips), ~10% duty cycle against full-size frames.
 func PeriodicJammer() Scenario {
-	return WithJamStrategy("periodic-jammer", Poisson(), mustJam("periodic"), DefaultJammer().BurstBytes)
+	return WithJamStrategy("periodic-jammer", Poisson(), mustJam("periodic"), defaultBurstBytes)
 }
 
 // ReactiveJammer returns Poisson traffic with sender 0 replaced by the
-// default reactive (sense-then-jam) jammer, expressed through the jam
-// strategy registry; bit-identical to the legacy construction.
+// registered reactive (sense-then-jam) strategy: it senses every ~6 ms,
+// under half a 1500-byte frame's air time, and fires a 60-byte burst when
+// the channel is busy.
 func ReactiveJammer() Scenario {
-	return WithJamStrategy("reactive-jammer", Poisson(), mustJam("reactive"), DefaultReactiveJammer().BurstBytes)
+	return WithJamStrategy("reactive-jammer", Poisson(), mustJam("reactive"), reactiveBurstBytes)
 }
 
 // registry maps CLI names to scenario constructors.
@@ -358,9 +263,9 @@ var registry = map[string]func() Scenario{
 func init() {
 	for _, name := range jam.Names() {
 		name := name
-		burst := 40
+		burst := defaultBurstBytes
 		if name == "reactive" {
-			burst = DefaultReactiveJammer().BurstBytes
+			burst = reactiveBurstBytes
 		}
 		registry["jam-"+name] = func() Scenario {
 			return WithJamStrategy("jam-"+name, Poisson(), mustJam(name), burst)

@@ -83,15 +83,6 @@ func TestBurstyClustersArrivals(t *testing.T) {
 	}
 }
 
-func TestJammerPeriodicClock(t *testing.T) {
-	j := DefaultJammer()
-	arr := drain(t, j.Arrivals(params(), stats.NewRNG(3)), 6_000_000)
-	want := int(6_000_000 / j.PeriodChips)
-	if len(arr) < want-2 || len(arr) > want+2 {
-		t.Errorf("%d jam attempts over 3 s, want ~%d", len(arr), want)
-	}
-}
-
 func TestScenarioRegistry(t *testing.T) {
 	for _, name := range Names() {
 		sc, err := ByName(name)
@@ -119,7 +110,7 @@ func TestScenarioRegistry(t *testing.T) {
 func TestJammerScenarioShape(t *testing.T) {
 	sc := PeriodicJammer()
 	j := sc.Node(0, 23)
-	if !j.IgnoreCarrierSense || j.PacketBytes != DefaultJammer().BurstBytes {
+	if j.BurstBytes != defaultBurstBytes {
 		t.Errorf("jammer node misconfigured: %+v", j)
 	}
 	if j.Jam == nil || j.Jam.Name() != "periodic" {
@@ -127,16 +118,16 @@ func TestJammerScenarioShape(t *testing.T) {
 	}
 	for i := 1; i < 23; i++ {
 		n := sc.Node(i, 23)
-		if n.IgnoreCarrierSense || n.PacketBytes != 0 || n.Jam != nil {
+		if n.BurstBytes != 0 || n.Jam != nil {
 			t.Errorf("sender %d inherited jammer flags: %+v", i, n)
 		}
 	}
 	r := ReactiveJammer().Node(0, 23)
-	if r.Jam == nil || r.Jam.Name() != "reactive" || !r.IgnoreCarrierSense {
+	if r.Jam == nil || r.Jam.Name() != "reactive" {
 		t.Errorf("reactive jammer node misconfigured: %+v", r)
 	}
-	if r.PacketBytes != DefaultReactiveJammer().BurstBytes {
-		t.Errorf("reactive jammer burst size %d, want %d", r.PacketBytes, DefaultReactiveJammer().BurstBytes)
+	if r.BurstBytes != reactiveBurstBytes {
+		t.Errorf("reactive jammer burst size %d, want %d", r.BurstBytes, reactiveBurstBytes)
 	}
 }
 
@@ -149,7 +140,7 @@ func TestJamScenariosRegistered(t *testing.T) {
 			t.Fatalf("jam-%s not registered: %v", name, err)
 		}
 		n := sc.Node(0, 23)
-		if n.Jam == nil || !n.IgnoreCarrierSense || n.PacketBytes <= 0 {
+		if n.Jam == nil || n.BurstBytes <= 0 {
 			t.Errorf("jam-%s sender 0 misconfigured: %+v", name, n)
 		}
 		if sc.Node(1, 23).Jam != nil {
@@ -164,8 +155,5 @@ func TestModelNames(t *testing.T) {
 	}
 	if DefaultBursty().Name() != "bursty" {
 		t.Error("bursty name")
-	}
-	if DefaultJammer().Name() != "periodic-jammer" || DefaultReactiveJammer().Name() != "reactive-jammer" {
-		t.Error("jammer names")
 	}
 }

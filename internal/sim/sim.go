@@ -131,9 +131,9 @@ func (tx *Transmission) PayloadStartChip() int64 {
 // time order with the static arrival streams, and each poll observes the
 // channel as the jammer would sense it — total received power and the
 // transmissions currently on the air — before deciding whether to burst.
-// With no strategy nodes the loop degenerates to the legacy iteration, and
-// the stock periodic/reactive strategies replay the legacy scenario.Jammer
-// timelines bit-for-bit (parity-tested).
+// Jammers transmit without carrier sense; every other sender defers
+// through CSMA. Golden digests in the tests pin every registered
+// scenario's timeline.
 func Schedule(cfg Config) []*Transmission {
 	rng := stats.NewRNG(cfg.Seed)
 	trafficRng := rng.Split()
@@ -149,14 +149,6 @@ func Schedule(cfg Config) []*Transmission {
 		nodes[i] = sc.Node(i, testbed.NumSenders)
 	}
 
-	pktBytes := make([]int, testbed.NumSenders)
-	for i, node := range nodes {
-		pktBytes[i] = cfg.PacketBytes
-		if node.PacketBytes > 0 {
-			pktBytes[i] = node.PacketBytes
-		}
-	}
-
 	csma := mac.DefaultCSMA(radio.DBmToMW(tb.Params.CSThresholdDBm))
 	csma.Enabled = cfg.CarrierSense
 	noiseMW := radio.DBmToMW(tb.Params.NoiseFloorDBm)
@@ -166,11 +158,12 @@ func Schedule(cfg Config) []*Transmission {
 		chip int64
 		src  int
 	}
-	// jammer is one strategy-driven adversary's lazy poll cursor.
+	// jammer is one strategy-driven adversary's lazy poll cursor; bytes is
+	// its default burst size.
 	type jammer struct {
-		src  int
-		em   jam.Emitter
-		next int64
+		src, bytes int
+		em         jam.Emitter
+		next       int64
 	}
 	var arrivals []arrival
 	var jammers []*jammer
@@ -180,19 +173,23 @@ func Schedule(cfg Config) []*Transmission {
 		// the other senders' arrival streams.
 		child := trafficRng.Split()
 		if st := nodes[i].Jam; st != nil {
+			bytes := cfg.PacketBytes
+			if nodes[i].BurstBytes > 0 {
+				bytes = nodes[i].BurstBytes
+			}
 			em := st.Emitter(jam.Params{
 				DurationChips: endChip,
-				BurstBytes:    pktBytes[i],
+				BurstBytes:    bytes,
 				ThresholdMW:   csThresholdMW,
 				NoiseMW:       noiseMW,
 				NumChannels:   1,
 			}, child)
-			jammers = append(jammers, &jammer{src: i, em: em, next: em.NextPoll()})
+			jammers = append(jammers, &jammer{src: i, bytes: bytes, em: em, next: em.NextPoll()})
 			continue
 		}
 		src := nodes[i].Model.Arrivals(scenario.Params{
 			OfferedBps:    cfg.OfferedBps,
-			PacketBytes:   pktBytes[i],
+			PacketBytes:   cfg.PacketBytes,
 			DurationChips: endChip,
 		}, child)
 		for {
@@ -277,35 +274,17 @@ func Schedule(cfg Config) []*Transmission {
 		if !hasStatic && ji < 0 {
 			break
 		}
-		// On chip ties the strategy poll goes first: legacy collected the
-		// jammer's (sender 0) arrivals ahead of the victims' in the sort
-		// input, which is where equal-chip arrivals ended up.
+		// On chip ties the strategy poll goes ahead of the static
+		// arrivals; the golden timelines depend on this order.
 		if hasStatic && (ji < 0 || arrivals[ai].chip < jammers[ji].next) {
 			a := arrivals[ai]
 			ai++
-			node := nodes[a.src]
 			// Carrier sense for CSMA keeps the seed behaviour: all
 			// committed transmissions count (a deferring sender is not yet
 			// on the air).
 			busy := func(t int64) float64 { return busyAt(t, a.src, -1) }
-			var start int64
-			switch {
-			case node.Reactive:
-				// Sense-then-jam: fire only when the channel is audibly
-				// busy at the sensing instant; otherwise this arrival is
-				// just a poll. The jammer's own bursts are excluded from
-				// the sense, or a poll period shorter than the burst air
-				// time would make it self-sustaining on a silent channel.
-				if busyAt(a.chip, a.src, a.src) < csThresholdMW {
-					continue
-				}
-				start = a.chip
-			case node.IgnoreCarrierSense:
-				start = a.chip
-			default:
-				start = csma.Decide(a.chip, busy, csmaRng)
-			}
-			emit(a.src, start, pktBytes[a.src])
+			start := csma.Decide(a.chip, busy, csmaRng)
+			emit(a.src, start, cfg.PacketBytes)
 			continue
 		}
 
@@ -331,7 +310,7 @@ func Schedule(cfg Config) []*Transmission {
 		b := j.em.Poll(jam.Observation{Chip: t, Busy: obsBusy, Txs: obsTxs})
 		j.next = j.em.NextPoll()
 		if b.Fire {
-			bytes := pktBytes[j.src]
+			bytes := j.bytes
 			if b.Bytes > 0 {
 				bytes = b.Bytes
 			}
